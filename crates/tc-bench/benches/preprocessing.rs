@@ -53,17 +53,11 @@ fn bench_ordering(c: &mut Criterion) {
 }
 
 fn bench_calibration(c: &mut Criterion) {
-    let mut gpu = tc_gpusim::GpuConfig::titan_xp_like();
-    gpu.num_sms = 4; // keep the bench itself quick
+    let gpu = tc_gpusim::GpuConfig::titan_xp_like();
     let mut group = c.benchmark_group("calibration");
     group.sample_size(10);
-    group.bench_function("profile+fit (4 lengths)", |b| {
-        b.iter(|| {
-            std::hint::black_box(tc_core::model::calibration::calibrate_with_lengths(
-                &gpu,
-                &[8, 64, 512, 4096],
-            ))
-        });
+    group.bench_function("profile+fit (standard lengths)", |b| {
+        b.iter(|| std::hint::black_box(tc_core::model::calibrate(&gpu)));
     });
     group.finish();
 }

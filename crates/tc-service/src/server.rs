@@ -277,10 +277,12 @@ impl Drop for ServerHandle {
     }
 }
 
-/// Calibrated model parameters for a GPU, memoized process-wide: the
-/// calibration sweep is deterministic per configuration but costs whole
-/// seconds in debug builds, and test suites spawn many servers. The
-/// cache stays tiny (one entry per distinct GPU config ever served).
+/// Calibrated model parameters for a GPU, memoized process-wide. The
+/// sweep is deterministic per configuration and takes about 30 ms in
+/// release builds (about 0.5 s in debug), but test suites spawn hundreds
+/// of servers in one process, and the memo pays that once per GPU config
+/// instead of once per server. The cache stays tiny (one entry per
+/// distinct GPU config ever served).
 fn calibrated_params(gpu: &GpuConfig) -> ModelParams {
     static CACHE: Mutex<Vec<(GpuConfig, ModelParams)>> = Mutex::new(Vec::new());
     let mut cache = CACHE.lock().expect("calibration cache lock");

@@ -62,7 +62,6 @@ fn main() {
         ),
     ] {
         let mut gpu = GpuConfig::titan_xp_like();
-        gpu.num_sms = 4; // calibration micro-kernels need no full GPU
         mutate(&mut gpu);
         let cal = calibrate(&gpu);
         println!(

@@ -10,13 +10,10 @@ cargo fmt --all -- --check
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "==> cargo clippy -p tc-algos -- -D warnings (intersection engine, standalone gate)"
-cargo clippy -p tc-algos --all-targets -- -D warnings
-
 echo "==> cargo clippy -p tc-algos --features simd -- -D warnings (vectorised tiers)"
 cargo clippy -p tc-algos --all-targets --features simd -- -D warnings
 
-echo "==> tier-1: cargo build --release && cargo test -q (default features)"
+echo "==> tier-1: cargo build --release && cargo test -q (every workspace crate, default features)"
 cargo build --release
 cargo test -q
 
@@ -24,8 +21,7 @@ echo "==> tier-1 again under --features simd (SSE2/AVX2 merge tiers live)"
 cargo build --release -p tc-algos --features simd
 cargo test -q -p tc-algos --features simd
 
-echo "==> sharded service e2e (default build, then SIMD kernels under the shards)"
-cargo test -q -p tc-service --test shard_e2e
+echo "==> sharded service e2e under SIMD kernels (default build runs in tier-1)"
 cargo test -q -p tc-service --test shard_e2e --features simd
 
 echo "==> service smoke test (ephemeral port, one query per endpoint)"
