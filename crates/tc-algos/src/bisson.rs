@@ -135,29 +135,33 @@ impl KernelGen for BissonKernel<'_> {
             ops.push(WarpOp::BlockSync);
         }
 
-        // -- Phase 2: rounds of one neighbour per thread.
+        // -- Phase 2: rounds of one neighbour per thread. One lane-list
+        // buffer serves every warp of every round.
+        let mut lane_lists: Vec<&[VertexId]> = Vec::with_capacity(32);
         for round in nbrs.chunks(threads) {
             for (w_idx, ops) in warp_ops.iter_mut().enumerate() {
-                let lane_lists: Vec<&[VertexId]> = round
-                    .iter()
-                    .skip(w_idx * 32)
-                    .take(32)
-                    .map(|&v| self.g.out_neighbors(v))
-                    .collect();
+                lane_lists.clear();
+                lane_lists.extend(
+                    round
+                        .iter()
+                        .skip(w_idx * 32)
+                        .take(32)
+                        .map(|&v| self.g.out_neighbors(v)),
+                );
                 let max_len = lane_lists.iter().map(|l| l.len()).max().unwrap_or(0);
                 for t in 0..max_len {
-                    let probes: Vec<u64> = lane_lists
-                        .iter()
-                        .filter_map(|l| l.get(t))
-                        .map(|&w| bitmap_word(w))
-                        .collect();
-                    let active = probes.len() as u32;
                     if t % 32 == 0 {
                         // Each lane streams its list sequentially; a new
                         // 128-byte segment roughly every 32 elements.
+                        let active = lane_lists.iter().filter(|l| t < l.len()).count() as u32;
                         ops.push(WarpOp::GlobalAccess { segments: active });
                     }
-                    let probe = bank_transactions(probes.iter().copied());
+                    let probe = bank_transactions(
+                        lane_lists
+                            .iter()
+                            .filter_map(|l| l.get(t))
+                            .map(|&w| bitmap_word(w)),
+                    );
                     ops.push(WarpOp::SharedAccess {
                         transactions: probe.transactions,
                     });
