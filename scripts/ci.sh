@@ -42,4 +42,11 @@ cargo run --release -q -p tc-bench --bin experiments -- stream-bench --small
 echo "==> cpu kernel smoke test (every kernel x ordering, small suite)"
 cargo run --release -q -p tc-bench --bin experiments -- cpu-bench --small
 
+echo "==> tcbench unit tests (its own package, outside the workspace tier-1 covers)"
+cargo test -q --offline --manifest-path tcbench/Cargo.toml
+
+echo "==> tcbench repro-grid smoke run (exits 1 if a grid cell's triangles or repeated metrics differ)"
+cargo run --release --offline -q --manifest-path tcbench/Cargo.toml -- \
+    --workload repro-grid --seed 1 --seconds 1 --trace 0
+
 echo "==> ci.sh: all green"
