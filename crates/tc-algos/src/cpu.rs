@@ -15,7 +15,7 @@
 //! scratch.
 
 use crate::engine::{self, with_thread_scratch, Kernel, Scratch};
-use tc_graph::{orient_by_rank, CsrGraph, DirectedGraph};
+use tc_graph::{degree_rank, orient_by_rank, CsrGraph, DirectedGraph};
 
 /// Node-iterator: for every vertex, test every neighbour pair for an edge.
 ///
@@ -64,11 +64,7 @@ pub fn forward(g: &CsrGraph) -> u64 {
 
 /// [`forward`] under an explicit kernel and caller-owned scratch.
 pub fn forward_with(g: &CsrGraph, kernel: Kernel, scratch: &mut Scratch) -> u64 {
-    let rank: Vec<u64> = g
-        .vertices()
-        .map(|u| ((g.degree(u) as u64) << 32) | u as u64)
-        .collect();
-    let oriented = orient_by_rank(g, &rank);
+    let oriented = orient_by_rank(g, &degree_rank(g));
     directed_count_with(&oriented, kernel, scratch)
 }
 

@@ -16,8 +16,8 @@
 //! access at all. Downstream reads then skip their dominant cost:
 //!
 //! - **k-truss** becomes the peel alone
-//!   ([`tc_apps::ktruss_from_supports`]) — the full support pass, the
-//!   expensive half, is already maintained;
+//!   ([`tc_apps::ktruss_from_supports`]) — the support pass is already
+//!   maintained;
 //! - **clustering coefficients** become pure arithmetic
 //!   ([`tc_apps::coefficients_from_counts`]) over the maintained counts;
 //! - **recommendation** already reads the materialised live graph.

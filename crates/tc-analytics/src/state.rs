@@ -2,8 +2,8 @@
 //! local triangle counts, updated in `O(wedges)` per committed change.
 
 use std::collections::HashMap;
-use tc_algos::engine::Scratch;
-use tc_graph::{CsrGraph, VertexId};
+use tc_algos::engine::{self, Scratch};
+use tc_graph::{degree_rank, orient_by_rank, CsrGraph, VertexId};
 use tc_stream::EdgeChange;
 
 /// Canonical `u < v` key for an undirected edge.
@@ -46,16 +46,18 @@ pub struct AnalyticsState {
 }
 
 impl AnalyticsState {
-    /// Cold-start build from a static graph: one full support pass plus
-    /// one per-vertex counting pass (both through the adaptive
-    /// intersection engine). This is the expensive path that incremental
-    /// maintenance subsequently avoids.
+    /// Cold-start build from a static graph: one pass of
+    /// [`engine::edge_triangles`] over the (degree, id) orientation
+    /// yields every edge's support and every vertex's count, and the
+    /// support map is filled straight from the out-slots. This is the
+    /// expensive path that incremental maintenance subsequently avoids.
     pub fn build(g: &CsrGraph, scratch: &mut Scratch) -> Self {
+        let oriented = orient_by_rank(g, &degree_rank(g));
+        let (per_slot, local) = engine::edge_triangles(&oriented, scratch);
         let mut supports = HashMap::with_capacity(g.num_edges());
-        for es in tc_apps::edge_supports_with(g, scratch) {
-            supports.insert((es.u, es.v), es.support);
+        for ((u, v), support) in oriented.edges().zip(per_slot) {
+            supports.insert(key(u, v), support);
         }
-        let local = tc_apps::triangles_per_vertex_with(g, scratch);
         let triangles = local.iter().sum::<u64>() / 3;
         Self {
             supports,

@@ -7,9 +7,12 @@
 //! the repository demonstrates the downstream value of the counting
 //! pipeline, not just the counting itself.
 //!
-//! All three start from the same primitive — per-edge triangle *support*
-//! ([`support::edge_supports`]) — computed exactly with the same sorted
-//! intersection machinery the GPU kernels use.
+//! All three start from the same primitives — per-edge triangle
+//! *support* ([`support::edge_supports`]) and per-vertex triangle counts
+//! ([`support::triangles_per_vertex`]). Both come exactly from one pass
+//! over the graph's (degree, id) orientation, the edge-directing idea
+//! the paper is about: each triangle is found once and credited to its
+//! three edges and three corners.
 
 pub mod clustering;
 pub mod ktruss;

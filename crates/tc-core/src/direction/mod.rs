@@ -13,7 +13,7 @@ pub use a_direction::{a_direction_phased_rank, a_direction_rank};
 pub use optimal::optimal_direction_cost;
 pub use ratio::{approximation_ratio_bound, RatioBound};
 
-use tc_graph::{orient_by_rank, CsrGraph, DirectedGraph};
+use tc_graph::{degree_rank, orient_by_rank, CsrGraph, DirectedGraph};
 
 /// The edge-directing strategies the paper evaluates.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash, Default)]
@@ -57,10 +57,7 @@ impl DirectionScheme {
     pub fn rank(&self, g: &CsrGraph) -> Vec<u64> {
         match self {
             DirectionScheme::IdBased => g.vertices().map(u64::from).collect(),
-            DirectionScheme::DegreeBased => g
-                .vertices()
-                .map(|u| ((g.degree(u) as u64) << 32) | u as u64)
-                .collect(),
+            DirectionScheme::DegreeBased => degree_rank(g),
             DirectionScheme::ADirection => a_direction_rank(g),
             DirectionScheme::ADirectionPhased => a_direction_phased_rank(g),
         }

@@ -55,6 +55,16 @@ pub fn orient_by_rank(g: &CsrGraph, rank: &[u64]) -> DirectedGraph {
     DirectedGraph::from_parts(offsets, out_neighbors)
 }
 
+/// The (degree, id) rank: lower degree first, ties broken by id — the
+/// forward algorithm's order and `tc-core`'s D-direction. Orienting by
+/// it leaves no vertex more than `√(2m)` out-edges, which bounds the
+/// wedges of the oriented graph by `O(m^{3/2})`.
+pub fn degree_rank(g: &CsrGraph) -> Vec<u64> {
+    g.vertices()
+        .map(|u| ((g.degree(u) as u64) << 32) | u as u64)
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

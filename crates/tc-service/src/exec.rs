@@ -210,8 +210,8 @@ impl Executor {
             }
             Request::Ktruss(dataset) => {
                 // Streamed datasets read from the maintained analytics
-                // state: the support pass (the dominant cost) is already
-                // incremental, leaving only the deterministic peel. The
+                // state: the support pass is already incremental,
+                // leaving only the deterministic peel. The
                 // differential suite pins this bit-identical to the full
                 // decomposition below.
                 let trussness = if self.registry.has_stream(*dataset) {
@@ -243,26 +243,24 @@ impl Executor {
                 ])
             }
             Request::Clustering(dataset) => {
-                // Streamed datasets: pure arithmetic over the maintained
-                // per-vertex counts — no intersections at all. Pinned
-                // bit-identical to the full recompute by the
-                // differential suite.
-                let (g, local, global) = if self.registry.has_stream(*dataset) {
+                // Both coefficients fold one set of per-vertex counts.
+                // Streamed datasets read the maintained counts — no
+                // intersections at all, pinned bit-identical to the
+                // full recompute by the differential suite; static ones
+                // count once.
+                let (g, counts) = if self.registry.has_stream(*dataset) {
                     self.registry.ensure_analytics(*dataset);
-                    let (g, counts) = self
-                        .registry
+                    self.registry
                         .analytics_local_counts(*dataset)
-                        .expect("analytics ensured above");
-                    let local = tc_apps::coefficients_from_counts(&g, &counts);
-                    let global = tc_apps::global_from_counts(&g, &counts);
-                    (g, local, global)
+                        .expect("analytics ensured above")
                 } else {
                     let g = self.registry.graph(*dataset);
                     let mut scratch = self.scratch.checkout_for(g.num_vertices());
-                    let local = tc_apps::clustering_coefficients_with(&g, &mut scratch);
-                    let global = tc_apps::global_clustering_coefficient_with(&g, &mut scratch);
-                    (g, local, global)
+                    let counts = tc_apps::triangles_per_vertex_with(&g, &mut scratch);
+                    (g, counts)
                 };
+                let local = tc_apps::coefficients_from_counts(&g, &counts);
+                let global = tc_apps::global_from_counts(&g, &counts);
                 let mean_local = if local.is_empty() {
                     0.0
                 } else {

@@ -49,4 +49,8 @@ echo "==> tcbench repro-grid smoke run (exits 1 if a grid cell's triangles or re
 cargo run --release --offline -q --manifest-path tcbench/Cargo.toml -- \
     --workload repro-grid --seed 1 --seconds 1 --trace 0
 
+echo "==> tcbench write-mixed smoke run (exits 1 on a missing subscribe ack, push frames != notifications_sent, or final counts != a DynamicGraph replay before and after the restart)"
+cargo run --release --offline -q --manifest-path tcbench/Cargo.toml -- \
+    --workload write-mixed --seed 1 --seconds 1 --trace 0
+
 echo "==> ci.sh: all green"
