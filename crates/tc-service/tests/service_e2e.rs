@@ -142,6 +142,38 @@ fn every_endpoint_answers() {
 }
 
 #[test]
+fn count_reports_the_size_of_the_loaded_dataset() {
+    use tc_datasets::Dataset;
+    let server = server_with(2, 64, Duration::from_secs(60));
+    let mut client = ServiceClient::connect(server.addr()).expect("connect");
+    for (dataset, direction, ordering) in [
+        (Dataset::EmailEucore, "a", "a-order"),
+        (Dataset::EmailEucore, "id", "gro"),
+        (Dataset::EmailEucore, "degree", "slashburn"),
+        (Dataset::KronLogn18, "degree", "gro"),
+        (Dataset::KronLogn18, "a", "origin"),
+    ] {
+        let q = format!(
+            r#"{{"op":"count","dataset":"{}","direction":"{direction}","ordering":"{ordering}"}}"#,
+            dataset.name()
+        );
+        let v = client.request_ok(&q).unwrap_or_else(|e| panic!("{q}: {e}"));
+        let g = tc_datasets::load(dataset);
+        assert_eq!(
+            v.get("nodes").and_then(Json::as_u64),
+            Some(g.num_vertices() as u64),
+            "{q}"
+        );
+        assert_eq!(
+            v.get("edges").and_then(Json::as_u64),
+            Some(g.num_edges() as u64),
+            "{q}"
+        );
+    }
+    server.shutdown();
+}
+
+#[test]
 fn overload_answers_structured_error_not_a_hang() {
     // One worker, queue of one: a running sleep plus a queued sleep fill
     // the service; the third request must be rejected immediately.
