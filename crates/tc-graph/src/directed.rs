@@ -30,6 +30,22 @@ impl DirectedGraph {
         g
     }
 
+    /// Builds from raw out-CSR arrays, validating every invariant —
+    /// the entry point for untrusted input (e.g. deserialization).
+    pub fn try_from_parts(
+        offsets: Vec<usize>,
+        out_neighbors: Vec<VertexId>,
+    ) -> Result<Self, String> {
+        let num_edges = out_neighbors.len();
+        let g = Self {
+            offsets,
+            out_neighbors,
+            num_edges,
+        };
+        g.validate()?;
+        Ok(g)
+    }
+
     /// Number of vertices.
     #[inline]
     pub fn num_vertices(&self) -> usize {

@@ -40,7 +40,7 @@ pub use builder::{csr_from_sorted_lists, GraphBuilder};
 pub use csr::CsrGraph;
 pub use directed::DirectedGraph;
 pub use layered::LayeredNeighbors;
-pub use orientation::{degree_rank, orient_by_rank};
+pub use orientation::{degree_rank, orient_by_rank, orient_relabelled};
 pub use permutation::Permutation;
 
 /// Vertex identifier. Graphs in this workspace are bounded by `u32` vertex

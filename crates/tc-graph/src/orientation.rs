@@ -1,6 +1,6 @@
 //! Turning undirected graphs into oriented ones via a strict total rank.
 
-use crate::{CsrGraph, DirectedGraph, VertexId};
+use crate::{CsrGraph, DirectedGraph, Permutation, VertexId};
 
 /// Orients every undirected edge from the endpoint with the **smaller rank**
 /// to the one with the larger rank.
@@ -55,6 +55,56 @@ pub fn orient_by_rank(g: &CsrGraph, rank: &[u64]) -> DirectedGraph {
     DirectedGraph::from_parts(offsets, out_neighbors)
 }
 
+/// [`orient_by_rank`] of `g` relabelled by `perm`, built straight from
+/// `g` without materialising the relabelled graph. Old vertex `u`'s
+/// out-edges under `rank` become new vertex `perm.map(u)`'s out-list of
+/// `perm.map(v)`, sorted.
+///
+/// `rank` is indexed by old id. The result equals
+/// `orient_by_rank(&perm.apply(g), &r)` with `r[perm.map(u)] = rank[u]`,
+/// at the cost of the m oriented edges instead of the 2m relabelled ones.
+///
+/// # Panics
+/// Panics if `rank` or `perm` does not cover every vertex, or if two
+/// adjacent vertices share a rank.
+pub fn orient_relabelled(g: &CsrGraph, rank: &[u64], perm: &Permutation) -> DirectedGraph {
+    let n = g.num_vertices();
+    assert_eq!(rank.len(), n, "rank array must cover every vertex");
+    assert_eq!(perm.len(), n, "permutation must cover every vertex");
+    // Each old vertex's out-degree lands one past its new id, so the
+    // prefix sum turns the counts into offsets in the new id space.
+    let mut offsets = vec![0usize; n + 1];
+    for u in 0..n as VertexId {
+        let ru = rank[u as usize];
+        offsets[perm.map(u) as usize + 1] = g
+            .neighbors(u)
+            .iter()
+            .filter(|&&v| {
+                let rv = rank[v as usize];
+                assert_ne!(ru, rv, "adjacent vertices {u} and {v} share rank {ru}");
+                ru < rv
+            })
+            .count();
+    }
+    for i in 1..=n {
+        offsets[i] += offsets[i - 1];
+    }
+
+    let mut out_neighbors = vec![0 as VertexId; offsets[n]];
+    for u in 0..n as VertexId {
+        let ru = rank[u as usize];
+        let new_u = perm.map(u) as usize;
+        let list = &mut out_neighbors[offsets[new_u]..offsets[new_u + 1]];
+        let targets = g.neighbors(u).iter().filter(|&&v| ru < rank[v as usize]);
+        for (slot, &v) in list.iter_mut().zip(targets) {
+            *slot = perm.map(v);
+        }
+        list.sort_unstable();
+    }
+
+    DirectedGraph::from_parts(offsets, out_neighbors)
+}
+
 /// The (degree, id) rank: lower degree first, ties broken by id — the
 /// forward algorithm's order and `tc-core`'s D-direction. Orienting by
 /// it leaves no vertex more than `√(2m)` out-edges, which bounds the
@@ -101,6 +151,37 @@ mod tests {
         for (u, v) in g.edges() {
             assert!(d.has_edge(u, v) ^ d.has_edge(v, u));
         }
+    }
+
+    #[test]
+    fn relabelled_orientation_matches_orienting_the_relabelled_graph() {
+        let g =
+            GraphBuilder::from_edges(6, &[(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)]).build();
+        let rank = [7, 3, 11, 5, 2, 9];
+        let perm = Permutation::new(vec![4, 0, 5, 2, 1, 3]).expect("bijection");
+        let mut relabelled = [0u64; 6];
+        for (old, &r) in rank.iter().enumerate() {
+            relabelled[perm.map(old as VertexId) as usize] = r;
+        }
+        let d = orient_relabelled(&g, &rank, &perm);
+        assert_eq!(d, orient_by_rank(&perm.apply(&g), &relabelled));
+        assert_eq!(d.out_degree(perm.map(5)), 0);
+        let identity = Permutation::identity(6);
+        assert_eq!(
+            orient_relabelled(&g, &rank, &identity),
+            orient_by_rank(&g, &rank)
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "share rank")]
+    fn relabelled_orientation_panics_on_equal_adjacent_ranks() {
+        let g = k4();
+        let _ = orient_relabelled(
+            &g,
+            &[1, 1, 2, 3],
+            &Permutation::new(vec![3, 2, 1, 0]).unwrap(),
+        );
     }
 
     #[test]

@@ -5,9 +5,10 @@ use crate::{CsrGraph, VertexId};
 /// A bijective relabelling of vertices: `new_id = perm[old_id]`.
 ///
 /// Every vertex-reordering scheme in `tc-core` produces a `Permutation`,
-/// which is then applied to a [`CsrGraph`] (and, by the algorithms, to the
-/// oriented graph derived from it). Construction validates bijectivity, so
-/// downstream code can rely on it.
+/// which preprocessing applies while it builds the oriented graph
+/// ([`crate::orient_relabelled`]); [`Permutation::apply`] relabels a whole
+/// [`CsrGraph`]. Construction validates bijectivity, so downstream code
+/// can rely on it.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Permutation {
     old_to_new: Vec<VertexId>,

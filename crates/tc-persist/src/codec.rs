@@ -16,8 +16,13 @@ use tc_graph::binary_io::{graph_from_bytes, graph_to_bytes};
 use tc_graph::{DirectedGraph, Permutation, VertexId};
 use tc_stream::{EdgeOp, StreamCounters, StreamSnapshot};
 
-/// Frame tag for a preprocessed registry-entry snapshot.
-pub const TAG_ENTRY: [u8; 4] = *b"PENT";
+/// Frame tag for a preprocessed registry-entry snapshot: the oriented
+/// CSR and the permutation.
+pub const TAG_ENTRY: [u8; 4] = *b"PEN2";
+/// Frame tag of the retired entry layout, which also stored the
+/// relabelled undirected graph. Recovery reports such files as corrupt
+/// and the variant is preprocessed again on demand.
+pub(crate) const TAG_ENTRY_RETIRED: [u8; 4] = *b"PENT";
 /// Frame tag for a stream-state snapshot.
 pub const TAG_STREAM: [u8; 4] = *b"PSTR";
 /// Frame tag for one WAL record (one logged update batch).
@@ -251,7 +256,6 @@ pub fn encode_entry(key: &PrepKey, prep: &PreprocessResult, triangles: Option<u6
         }
         None => buf.push(0),
     }
-    put_bytes(&mut buf, &graph_to_bytes(prep.graph()));
     let directed = prep.directed();
     put_u64(&mut buf, directed.offsets().len() as u64);
     for &o in directed.offsets() {
@@ -269,8 +273,8 @@ pub fn encode_entry(key: &PrepKey, prep: &PreprocessResult, triangles: Option<u6
 }
 
 /// Decodes [`encode_entry`] output, re-validating every structural
-/// invariant (the CSR's, the permutation's, and cross-part consistency
-/// via [`PreprocessResult::from_parts`]).
+/// invariant (the oriented CSR's, the permutation's, and that they
+/// cover the same vertices, via [`PreprocessResult::from_parts`]).
 pub fn decode_entry(payload: &[u8]) -> Result<EntryRecord, PersistError> {
     let mut r = Reader::new(payload);
     let dataset_name = r.str()?;
@@ -288,7 +292,6 @@ pub fn decode_entry(payload: &[u8]) -> Result<EntryRecord, PersistError> {
         1 => Some(r.u64()?),
         b => return Err(corrupt(format!("bad triangles-present flag {b}"))),
     };
-    let reordered = graph_from_bytes(r.bytes()?)?;
     let n_off = r.u64()?;
     if n_off > (1 << 33) {
         return Err(corrupt("implausible directed offset count"));
@@ -305,12 +308,6 @@ pub fn decode_entry(payload: &[u8]) -> Result<EntryRecord, PersistError> {
     for _ in 0..n_out {
         out_neighbors.push(r.u32()?);
     }
-    if offsets.is_empty()
-        || offsets.last().copied() != Some(out_neighbors.len())
-        || offsets.windows(2).any(|w| w[0] > w[1])
-    {
-        return Err(corrupt("directed offsets are not a valid CSR index"));
-    }
     let n_perm = r.u64()?;
     if n_perm > (1 << 33) {
         return Err(corrupt("implausible permutation length"));
@@ -320,9 +317,9 @@ pub fn decode_entry(payload: &[u8]) -> Result<EntryRecord, PersistError> {
         old_to_new.push(r.u32()?);
     }
     r.finish()?;
-    let directed = DirectedGraph::from_parts(offsets, out_neighbors);
+    let directed = DirectedGraph::try_from_parts(offsets, out_neighbors).map_err(corrupt)?;
     let permutation = Permutation::new(old_to_new).map_err(corrupt)?;
-    let prep = PreprocessResult::from_parts(reordered, directed, permutation).map_err(corrupt)?;
+    let prep = PreprocessResult::from_parts(directed, permutation).map_err(corrupt)?;
     Ok(EntryRecord {
         key: PrepKey {
             dataset,
@@ -485,17 +482,36 @@ mod tests {
         let rec = decode_entry(&buf).expect("decode");
         assert_eq!(rec.key, key);
         assert_eq!(rec.triangles, Some(42));
-        assert_eq!(rec.prep.graph(), prep.graph());
+        assert_eq!(rec.prep.directed(), prep.directed());
         assert_eq!(rec.prep.permutation(), prep.permutation());
-        assert_eq!(rec.prep.directed().offsets(), prep.directed().offsets());
-        assert_eq!(
-            rec.prep.directed().out_neighbor_array(),
-            prep.directed().out_neighbor_array()
-        );
-        assert_eq!(rec.prep.out_degrees(), prep.out_degrees());
 
         let buf = encode_entry(&key, &prep, None);
         assert_eq!(decode_entry(&buf).expect("decode").triangles, None);
+    }
+
+    #[test]
+    fn entry_decoder_rejects_an_invalid_oriented_csr() {
+        let g = power_law_configuration(50, 2.2, 4.0, 1);
+        let prep = Preprocessor::new().run(&g);
+        let key = PrepKey {
+            dataset: Dataset::EmailEucore,
+            direction: DirectionScheme::ADirection,
+            ordering: OrderingScheme::AOrder,
+            bucket_size: 64,
+        };
+        let buf = encode_entry(&key, &prep, None);
+        // The first out-neighbour id sits right after the offsets and the
+        // edge count; point it past the last vertex.
+        let n = g.num_vertices();
+        let first = buf.len() - (8 + 4 * n) - 4 * prep.directed().num_edges();
+        let mut bad = buf.clone();
+        bad[first..first + 4].copy_from_slice(&(n as u32 + 5).to_le_bytes());
+        assert!(decode_entry(&bad).is_err());
+        // A permutation that maps its first and last vertex to one id.
+        let mut bad = buf;
+        let len = bad.len();
+        bad.copy_within(len - 4 * n..len - 4 * n + 4, len - 4);
+        assert!(decode_entry(&bad).is_err());
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use crate::codec::{
     decode_entry, decode_stream, direction_token, encode_entry, encode_stream, ordering_token,
-    EntryRecord, PrepKey, StreamRecord, TAG_ENTRY, TAG_STREAM,
+    EntryRecord, PrepKey, StreamRecord, TAG_ENTRY, TAG_ENTRY_RETIRED, TAG_STREAM,
 };
 use crate::PersistError;
 use std::fs::{self, File, OpenOptions};
@@ -199,6 +199,9 @@ fn read_one(path: &Path) -> Result<Loaded, PersistError> {
     match frame.tag {
         TAG_ENTRY => Ok(Loaded::Entry(decode_entry(&frame.payload)?)),
         TAG_STREAM => Ok(Loaded::Stream(decode_stream(&frame.payload)?)),
+        TAG_ENTRY_RETIRED => Err(PersistError::Corrupt(
+            "entry snapshot in the retired layout that also stored the relabelled graph".into(),
+        )),
         tag => Err(PersistError::Corrupt(format!(
             "unexpected snapshot frame tag {tag:?}"
         ))),
@@ -254,7 +257,8 @@ mod tests {
         assert!(load.corrupt.is_empty());
         assert_eq!(load.entries[0].key, sample_key());
         assert_eq!(load.entries[0].triangles, Some(11));
-        assert_eq!(load.entries[0].prep.graph(), prep.graph());
+        assert_eq!(load.entries[0].prep.directed(), prep.directed());
+        assert_eq!(load.entries[0].prep.permutation(), prep.permutation());
         assert_eq!(load.streams[0], rec);
 
         let stats = snap.stats().expect("stats");

@@ -172,10 +172,10 @@ impl Executor {
                 // first `count` per cached prep computes, repeats look up
                 // (and, with persistence on, the memo goes durable too).
                 let (entry, triangles) = self.registry.count(*target);
-                let prep = entry.prep();
+                let directed = entry.prep().directed();
                 let mut payload = target_members(target);
-                payload.push(("nodes".into(), u(prep.graph().num_vertices() as u64)));
-                payload.push(("edges".into(), u(prep.graph().num_edges() as u64)));
+                payload.push(("nodes".into(), u(directed.num_vertices() as u64)));
+                payload.push(("edges".into(), u(directed.num_edges() as u64)));
                 payload.push(("triangles".into(), u(triangles)));
                 Ok(payload)
             }

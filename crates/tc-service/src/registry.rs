@@ -8,7 +8,8 @@
 //! - **Preprocessed variants** ([`PrepTarget`] → [`PreprocessResult`]):
 //!   keyed by `(dataset, direction scheme, ordering scheme, bucket
 //!   size)`, charged against a byte budget (via
-//!   [`PreprocessResult::approx_bytes`]) and evicted least-recently-used.
+//!   [`PreprocessResult::approx_bytes`]: the oriented CSR and the
+//!   permutation) and evicted least-recently-used.
 //!   The first query for a key pays the full direction + ordering +
 //!   rebuild cost; later queries hit the cache. Each entry also memoises
 //!   pure derived results ([`CachedPrep::triangles`]), so a repeated

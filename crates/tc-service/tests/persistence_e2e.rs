@@ -253,6 +253,104 @@ fn kill_mid_batch_replays_to_the_exact_unkilled_state() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// An entry snapshot in the retired layout, encoded by hand: the key,
+/// a memoised count, the relabelled undirected graph, then the oriented
+/// CSR and the permutation, in a `PENT` frame.
+fn retired_entry_frame(dataset: &str, g: &tc_graph::CsrGraph, triangles: u64) -> Vec<u8> {
+    fn put_str(buf: &mut Vec<u8>, s: &str) {
+        buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
+        buf.extend_from_slice(s.as_bytes());
+    }
+    let rank: Vec<u64> = g.vertices().map(u64::from).collect();
+    let directed = tc_graph::orient_by_rank(g, &rank);
+    let mut payload = Vec::new();
+    put_str(&mut payload, dataset);
+    put_str(&mut payload, "id");
+    put_str(&mut payload, "origin");
+    payload.extend_from_slice(&64u32.to_le_bytes());
+    payload.push(1);
+    payload.extend_from_slice(&triangles.to_le_bytes());
+    let graph = tc_graph::binary_io::graph_to_bytes(g);
+    payload.extend_from_slice(&(graph.len() as u64).to_le_bytes());
+    payload.extend_from_slice(&graph);
+    payload.extend_from_slice(&(directed.offsets().len() as u64).to_le_bytes());
+    for &o in directed.offsets() {
+        payload.extend_from_slice(&(o as u64).to_le_bytes());
+    }
+    payload.extend_from_slice(&(directed.num_edges() as u64).to_le_bytes());
+    for &v in directed.out_neighbor_array() {
+        payload.extend_from_slice(&v.to_le_bytes());
+    }
+    payload.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
+    for v in g.vertices() {
+        payload.extend_from_slice(&v.to_le_bytes());
+    }
+    let mut frame = Vec::new();
+    tc_graph::binary_io::write_frame(&mut frame, *b"PENT", &payload).expect("frame");
+    frame
+}
+
+#[test]
+fn retired_entry_layout_is_reported_corrupt_and_recomputed() {
+    let dir = tmp("retired");
+    let g = tc_datasets::load(tc_datasets::Dataset::EmailEucore);
+    let expect = tc_algos::cpu::node_iterator(&g);
+    // The memo is deliberately wrong: serving it would show the file
+    // had been trusted.
+    let name = "entry-email-Eucore-id-origin-64.tcp";
+    std::fs::create_dir_all(dir.join("snap")).expect("mkdir");
+    std::fs::write(
+        dir.join("snap").join(name),
+        retired_entry_frame("email-Eucore", &g, expect + 1),
+    )
+    .expect("write retired entry");
+
+    let count_q = r#"{"op":"count","dataset":"email-Eucore","direction":"id","ordering":"origin"}"#;
+    {
+        let server = persistent_server(&dir);
+        let mut c = ServiceClient::connect(server.addr()).expect("connect");
+        let recover = c
+            .request_ok(r#"{"op":"recover-stats"}"#)
+            .expect("recover-stats");
+        assert_eq!(get_u64(&recover, "entries_loaded"), 0);
+        let Some(Json::Arr(corrupt)) = recover.get("corrupt_files") else {
+            panic!("no corrupt_files in {recover:?}");
+        };
+        assert_eq!(corrupt.len(), 1, "{corrupt:?}");
+        assert!(
+            corrupt[0].as_str().is_some_and(|f| f.contains(name)),
+            "{corrupt:?}"
+        );
+        let stats = c.request_ok(r#"{"op":"stats"}"#).expect("stats");
+        let cache = stats.get("cache").expect("cache section");
+        assert_eq!(get_u64(cache, "recovered_entries"), 0);
+        assert_eq!(get_u64(cache, "entries"), 0);
+
+        let v = c.request_ok(count_q).expect("count");
+        assert_eq!(get_u64(&v, "triangles"), expect);
+        assert_eq!(get_u64(&v, "nodes"), g.num_vertices() as u64);
+        assert_eq!(get_u64(&v, "edges"), g.num_edges() as u64);
+        let stats = c.request_ok(r#"{"op":"stats"}"#).expect("stats");
+        assert_eq!(get_u64(stats.get("cache").expect("cache"), "misses"), 1);
+        server.shutdown();
+    }
+
+    // The recomputed entry replaced the file in the current layout.
+    let server = persistent_server(&dir);
+    let mut c = ServiceClient::connect(server.addr()).expect("connect");
+    let recover = c
+        .request_ok(r#"{"op":"recover-stats"}"#)
+        .expect("recover-stats");
+    assert_eq!(get_u64(&recover, "entries_loaded"), 1);
+    assert_eq!(recover.get("corrupt_files"), Some(&Json::Arr(Vec::new())));
+    assert_eq!(
+        get_u64(&c.request_ok(count_q).expect("warm count"), "triangles"),
+        expect
+    );
+    server.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn snapshot_op_reports_and_advances_the_persistence_surface() {
     let dir = tmp("snapop");
