@@ -13,7 +13,7 @@ use rand::{Rng, SeedableRng};
 pub fn erdos_renyi(n: usize, m: usize, seed: u64) -> CsrGraph {
     assert!(n >= 2, "need at least two vertices");
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::with_capacity(n, m);
     for _ in 0..m {
         let u = rng.gen_range(0..n) as VertexId;
         let mut v = rng.gen_range(0..n) as VertexId;

@@ -14,13 +14,14 @@ pub fn preferential_attachment(n: usize, edges_per_vertex: usize, seed: u64) -> 
     assert!(n > edges_per_vertex, "need more vertices than edges each");
     assert!(edges_per_vertex >= 1);
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
-    // `targets` holds one entry per edge endpoint, so sampling an index
-    // uniformly samples a vertex proportionally to its degree.
-    let mut endpoints: Vec<VertexId> = Vec::with_capacity(2 * n * edges_per_vertex);
-
     // Seed clique over the first edges_per_vertex + 1 vertices.
     let k = edges_per_vertex + 1;
+    let raw_edges = k * (k - 1) / 2 + (n - k) * edges_per_vertex;
+    let mut b = GraphBuilder::with_capacity(n, raw_edges);
+    // `endpoints` holds one entry per edge endpoint, so sampling an index
+    // uniformly samples a vertex proportionally to its degree.
+    let mut endpoints: Vec<VertexId> = Vec::with_capacity(2 * raw_edges);
+
     for u in 0..k {
         for v in (u + 1)..k {
             b.add_edge(u as VertexId, v as VertexId);
@@ -29,8 +30,9 @@ pub fn preferential_attachment(n: usize, edges_per_vertex: usize, seed: u64) -> 
         }
     }
 
+    let mut chosen = Vec::with_capacity(edges_per_vertex);
     for u in k..n {
-        let mut chosen = Vec::with_capacity(edges_per_vertex);
+        chosen.clear();
         while chosen.len() < edges_per_vertex {
             let t = endpoints[rng.gen_range(0..endpoints.len())];
             if t != u as VertexId && !chosen.contains(&t) {
@@ -43,6 +45,7 @@ pub fn preferential_attachment(n: usize, edges_per_vertex: usize, seed: u64) -> 
             endpoints.push(t);
         }
     }
+    drop(endpoints);
     b.build()
 }
 

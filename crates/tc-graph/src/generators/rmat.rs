@@ -55,7 +55,7 @@ pub fn rmat(scale: u32, edge_factor: usize, params: RmatParams, seed: u64) -> Cs
     let n = 1usize << scale;
     let m = n * edge_factor;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::with_capacity(n, m);
     for _ in 0..m {
         let (u, v) = rmat_edge(scale, params, &mut rng);
         b.add_edge(u, v);

@@ -15,7 +15,7 @@ pub fn watts_strogatz(n: usize, k: usize, beta: f64, seed: u64) -> CsrGraph {
     assert!(n > 2 * k, "ring too small for k={k}");
     assert!((0.0..=1.0).contains(&beta));
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut b = GraphBuilder::new(n);
+    let mut b = GraphBuilder::with_capacity(n, n * k);
     for u in 0..n {
         for offset in 1..=k {
             let v = (u + offset) % n;

@@ -48,7 +48,7 @@ impl From<std::io::Error> for IoError {
 pub fn read_edge_list<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
     let reader = BufReader::new(reader);
     let mut remap: HashMap<u64, VertexId> = HashMap::new();
-    let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
+    let mut builder = GraphBuilder::new(0);
     let intern = |raw: u64, remap: &mut HashMap<u64, VertexId>| -> VertexId {
         let next = remap.len() as VertexId;
         *remap.entry(raw).or_insert(next)
@@ -74,10 +74,7 @@ pub fn read_edge_list<R: Read>(reader: R) -> Result<CsrGraph, IoError> {
         };
         let u = intern(a, &mut remap);
         let v = intern(b, &mut remap);
-        edges.push((u, v));
-    }
-    let mut builder = GraphBuilder::new(remap.len());
-    for (u, v) in edges {
+        builder.grow_vertices(remap.len());
         builder.add_edge(u, v);
     }
     Ok(builder.build())
@@ -108,10 +105,12 @@ mod tests {
 
     #[test]
     fn parses_snap_style_input() {
-        let text = "# comment\n% also comment\n10 20\n20 30\n10 30\n";
+        let text = "# comment\n% also comment\n10 20\n20 30\n10 30\n40 40\n";
         let g = read_edge_list(text.as_bytes()).expect("parse");
-        assert_eq!(g.num_vertices(), 3);
+        // A self-loop's vertex is kept, isolated.
+        assert_eq!(g.num_vertices(), 4);
         assert_eq!(g.num_edges(), 3);
+        assert_eq!(g.degree(3), 0);
     }
 
     #[test]
