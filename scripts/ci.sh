@@ -45,6 +45,10 @@ cargo run --release -q -p tc-bench --bin experiments -- cpu-bench --small
 echo "==> tcbench unit tests (its own package, outside the workspace tier-1 covers)"
 cargo test -q --offline --manifest-path tcbench/Cargo.toml
 
+echo "==> tcbench read-hot smoke run (exits 1 if a count, recommend or clustering answer differs from its reference)"
+cargo run --release --offline -q --manifest-path tcbench/Cargo.toml -- \
+    --workload read-hot --seed 1 --seconds 1 --trace 0
+
 echo "==> tcbench repro-grid smoke run (exits 1 if a grid cell's triangles or repeated metrics differ)"
 cargo run --release --offline -q --manifest-path tcbench/Cargo.toml -- \
     --workload repro-grid --seed 1 --seconds 1 --trace 0
