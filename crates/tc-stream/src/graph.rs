@@ -803,8 +803,8 @@ impl DynamicGraph {
     /// Builds the current effective graph as a standalone CSR (the
     /// stream itself is unchanged). The layered rows are already sorted
     /// and sized in `O(1)` (`LayeredNeighbors::len`), so assembly goes
-    /// through the counting-sort-style two-pass builder — offsets from
-    /// the exact lengths, then a single fill — with no comparison sort.
+    /// through `csr_from_sorted_lists` — offsets from the exact lengths,
+    /// then a single fill — with no sort and no `GraphBuilder`.
     pub fn materialize(&self) -> CsrGraph {
         csr_from_sorted_lists(self.num_vertices(), |u| self.neighbors(u))
     }
