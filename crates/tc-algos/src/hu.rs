@@ -299,6 +299,122 @@ mod tests {
         assert_eq!(r.triangles, 0);
     }
 
+    /// FNV-1a over a stream of `u64` words.
+    struct Fnv(u64);
+
+    impl Fnv {
+        fn word(&mut self, x: u64) {
+            for byte in x.to_le_bytes() {
+                self.0 ^= u64::from(byte);
+                self.0 = self.0.wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+
+        fn op(&mut self, op: impl std::borrow::Borrow<WarpOp>) {
+            let (kind, payload) = match *op.borrow() {
+                WarpOp::Compute(c) => (0, c),
+                WarpOp::GlobalAccess { segments } => (1, segments),
+                WarpOp::SharedAccess { transactions } => (2, transactions),
+                WarpOp::BlockSync => (3, 0),
+            };
+            self.word(kind);
+            self.word(u64::from(payload));
+        }
+    }
+
+    /// Digest of every block's triangle count and decoded ops, warp by
+    /// warp, at `titan_xp_like` (1024 wedges per superstep).
+    fn trace_digest(d: &DirectedGraph, bucket_size: usize) -> (u64, u64) {
+        let gpu = GpuConfig::titan_xp_like();
+        let algo = HuFineGrained {
+            bucket_size,
+            ..HuFineGrained::default()
+        };
+        let kernel = HuKernel::new(
+            d,
+            &gpu,
+            algo.bucket_size,
+            algo.batches_per_superstep,
+            algo.costs,
+        );
+        let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+        let mut triangles = 0;
+        h.word(kernel.num_blocks() as u64);
+        for idx in 0..kernel.num_blocks() {
+            let (trace, count) = kernel.gen_block(idx);
+            triangles += count;
+            h.word(count);
+            h.word(trace.num_warps() as u64);
+            for warp in trace.warps() {
+                h.word(warp.len() as u64);
+                for op in warp {
+                    h.op(op);
+                }
+            }
+        }
+        (triangles, h.0)
+    }
+
+    /// Pins every Hu block's trace and count. The 60-clique is one bucket
+    /// of 34 220 wedges, about 34 supersteps; the R-MAT and power-law
+    /// graphs, oriented by id, have hub buckets spanning several.
+    #[test]
+    fn block_traces_are_pinned() {
+        let clique: Vec<(VertexId, VertexId)> = (0..60)
+            .flat_map(|u| (u + 1..60).map(move |v| (u, v)))
+            .collect();
+        let k8: Vec<(VertexId, VertexId)> = (0..8)
+            .flat_map(|u| (u + 1..8).map(move |v| (u, v)))
+            .collect();
+        let graphs = [
+            ("clique60", GraphBuilder::from_edges(60, &clique).build()),
+            (
+                "rmat",
+                tc_graph::generators::rmat(9, 8, Default::default(), 3),
+            ),
+            ("power-law", power_law_configuration(600, 2.1, 8.0, 5)),
+            ("k8", GraphBuilder::from_edges(8, &k8).build()),
+            ("empty", tc_graph::CsrGraph::empty(0)),
+            (
+                "isolated",
+                GraphBuilder::from_edges(100, &[(3, 50), (3, 96), (50, 96)]).build(),
+            ),
+        ];
+        let expected: [(&str, usize, u64, u64); 24] = [
+            ("clique60", 1, 34_220, 0x431c_674b_3e40_5e4e),
+            ("clique60", 7, 34_220, 0x8d64_d03c_a8a9_5c0b),
+            ("clique60", 64, 34_220, 0xb3a9_23f6_6044_8d33),
+            ("clique60", 1000, 34_220, 0xb3a9_23f6_6044_8d33),
+            ("rmat", 1, 9510, 0xe613_9f68_90ae_78c3),
+            ("rmat", 7, 9510, 0xb175_44ec_ed96_737e),
+            ("rmat", 64, 9510, 0x8e94_4685_b6ae_e8b6),
+            ("rmat", 1000, 9510, 0x09b6_d284_297e_16df),
+            ("power-law", 1, 1318, 0xaa7b_f5c4_b640_dfd9),
+            ("power-law", 7, 1318, 0xee4d_a9e9_e737_57df),
+            ("power-law", 64, 1318, 0x132f_9213_2266_71f7),
+            ("power-law", 1000, 1318, 0xc340_1020_f9cd_bf64),
+            ("k8", 1, 56, 0x9f39_4ade_54ed_429d),
+            ("k8", 7, 56, 0x6d13_8011_23d0_32bf),
+            ("k8", 64, 56, 0xadc1_803b_b9e2_6894),
+            ("k8", 1000, 56, 0xadc1_803b_b9e2_6894),
+            ("empty", 1, 0, 0xa8c7_f832_281a_39c5),
+            ("empty", 7, 0, 0xa8c7_f832_281a_39c5),
+            ("empty", 64, 0, 0xa8c7_f832_281a_39c5),
+            ("empty", 1000, 0, 0xa8c7_f832_281a_39c5),
+            ("isolated", 1, 1, 0xd638_09be_6a97_5289),
+            ("isolated", 7, 1, 0xcd6e_9e56_0525_c1ca),
+            ("isolated", 64, 1, 0xae7a_c2b0_9a35_e62f),
+            ("isolated", 1000, 1, 0xef03_7290_281b_fa04),
+        ];
+        for (name, bucket, triangles, digest) in expected {
+            let g = &graphs.iter().find(|(n, _)| *n == name).expect("graph").1;
+            let d = orient(g);
+            let got = trace_digest(&d, bucket);
+            assert_eq!(got.0, cpu::directed_count(&d), "{name} bucket {bucket}");
+            assert_eq!(got, (triangles, digest), "{name} bucket {bucket}");
+        }
+    }
+
     #[test]
     fn emits_supersteps_with_barriers() {
         let g = power_law_configuration(300, 2.2, 8.0, 1);
