@@ -335,10 +335,10 @@ impl Scratch {
     /// time — the scalar reference path [`Kernel::Bitmap`] pins so the
     /// word-batched win stays measurable in `cpu-bench`.
     ///
-    /// The probe list is first [clipped](Scratch::clip) to the marked
-    /// range, and the membership bit is summed rather than branched on,
-    /// keeping the loop a straight stream of loads the core can
-    /// pipeline.
+    /// The probe list is first clipped to the marked range by
+    /// `Scratch::clip`, and the membership bit is summed rather than
+    /// branched on, keeping the loop a straight stream of loads the core
+    /// can pipeline.
     pub fn count_marked_scalar(&self, list: &[VertexId]) -> u64 {
         self.clip(list)
             .iter()

@@ -1,6 +1,9 @@
 //! Chunked / vectorised sorted-set intersection ([`Kernel::SimdMerge`]
 //! and the balanced side of [`Kernel::Adaptive`]).
 //!
+//! [`Kernel::SimdMerge`]: crate::engine::Kernel::SimdMerge
+//! [`Kernel::Adaptive`]: crate::engine::Kernel::Adaptive
+//!
 //! The scalar two-pointer merge retires **one comparison per step**; on
 //! a machine with 128/256-bit vector units most of each cache line's
 //! work is left on the table. This module processes both lists in

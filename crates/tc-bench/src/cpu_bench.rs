@@ -82,7 +82,7 @@ pub struct CpuBenchRow {
     pub ordering: String,
     /// Kernel name (one of [`KERNELS`]).
     pub kernel: String,
-    /// Mean counting time per run (µs) over [`REPS`] repetitions.
+    /// Mean counting time per run (µs) over `REPS` repetitions.
     pub mean_us: f64,
     /// Ratio of the seed merge kernel's time (same dataset and
     /// ordering) to this kernel's time; 1.0 for merge itself.

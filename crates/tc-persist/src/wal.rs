@@ -3,7 +3,7 @@
 //! truncates a torn tail.
 //!
 //! Layout: `<dir>/wal/wal-NNNNNN.seg`, each segment a sequence of
-//! checksummed frames (tag [`TAG_WAL`](crate::codec::TAG_WAL)). File
+//! checksummed frames (tag [`TAG_WAL`]). File
 //! order is sequence order: the appender assigns `seq` under the same
 //! lock that writes the frame, so a reader walking segments in filename
 //! order sees strictly increasing sequence numbers — the property

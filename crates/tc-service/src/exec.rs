@@ -148,7 +148,7 @@ impl Executor {
     /// `recover-stats`, and the all-datasets fan-outs) live on
     /// [`Engine`], which also routes dataset ops to their owning shard.
     /// Connection-scoped ops (`subscribe`, `unsubscribe`) fail through
-    /// this entry point — use [`execute_conn`](Self::execute_conn) with
+    /// this entry point — use `execute_conn` with
     /// a connection context.
     pub fn execute(&self, request: &Request) -> Result<Payload, ServiceError> {
         self.execute_conn(request, None)
@@ -503,7 +503,7 @@ pub struct Engine {
 impl Engine {
     /// The shard that must execute `request`: its dataset's owner, or
     /// shard 0 for dataset-free requests (engine-level fan-outs are
-    /// intercepted in [`execute_conn`](Self::execute_conn) before the
+    /// intercepted in `execute_conn` before the
     /// shard executor ever sees them, so their nominal shard only
     /// selects which worker pool runs the fan-out).
     pub fn route(&self, request: &Request) -> usize {

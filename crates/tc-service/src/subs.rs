@@ -12,7 +12,7 @@
 //!
 //! Lifecycle: a subscription dies by explicit `unsubscribe` (only from
 //! its owning connection), by its connection disconnecting (the reader
-//! thread calls [`SubscriptionRegistry::drop_connection`] on exit), or
+//! thread calls `SubscriptionRegistry::drop_connection` on exit), or
 //! lazily when a push fails because the writer is gone.
 
 use crate::server::{ConnContext, Pending};

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# CI gate: formatting, lints, then the tier-1 build-and-test pass.
+# CI gate: formatting, lints, rustdoc links, then the tier-1 build-and-test pass.
 # Run from the repository root: ./scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -12,6 +12,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 
 echo "==> cargo clippy -p tc-algos --features simd -- -D warnings (vectorised tiers)"
 cargo clippy -p tc-algos --all-targets --features simd -- -D warnings
+
+echo "==> rustdoc -D warnings (broken or private intra-doc links)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 echo "==> tier-1: cargo build --release && cargo test -q (every workspace crate, default features)"
 cargo build --release
