@@ -7,6 +7,12 @@
 //! then every warp runs 32 divergent searches in lock step, barriers
 //! again, and moves to the next chunk of wedges.
 //!
+//! The generator never lists a bucket's wedges in full. A cursor over
+//! (`u`, `v` in `N⁺(u)`, position in `N⁺(v)`) refills one superstep's chunk
+//! of `32 × warps × batches` wedges (1024 at `titan_xp_like`) at a time,
+//! so a block holds that many wedges however large its bucket is; a
+//! kron-logn18 bucket can have over 185 000.
+//!
 //! This is the algorithm the paper uses as its running example: it hosts
 //! both analytic models (intra-block BSP for A-direction, resource balance
 //! for A-order) and appears in Tables 2 and 5 and Figures 12 and 16.
@@ -78,23 +84,59 @@ impl<'a> HuKernel<'a> {
         }
     }
 
-    fn bucket_wedges(&self, idx: usize) -> Vec<Wedge> {
-        let start = (idx * self.bucket_size) as VertexId;
-        let end = (((idx + 1) * self.bucket_size).min(self.g.num_vertices())) as VertexId;
-        let mut wedges = Vec::new();
-        for u in start..end {
-            for &v in self.g.out_neighbors(u) {
-                let base_v = self.g.offsets()[v as usize] as u64;
-                for (t, &w) in self.g.out_neighbors(v).iter().enumerate() {
-                    wedges.push(Wedge {
-                        u,
-                        key: w,
-                        key_addr: base_v + t as u64,
-                    });
-                }
+    /// A cursor at the first wedge of bucket `idx`.
+    fn bucket_wedges(&self, idx: usize) -> WedgeCursor<'a> {
+        let start = idx * self.bucket_size;
+        let end = ((idx + 1) * self.bucket_size).min(self.g.num_vertices());
+        WedgeCursor {
+            g: self.g,
+            u: start as VertexId,
+            end: end as VertexId,
+            vi: 0,
+            wi: 0,
+        }
+    }
+}
+
+/// Walks a bucket's wedges `u → v → w` in order of `u`, then `v` in
+/// `N⁺(u)`, then `w` in `N⁺(v)`, handing them out one superstep at a time.
+struct WedgeCursor<'a> {
+    g: &'a DirectedGraph,
+    /// Current source vertex; the bucket ends before `end`.
+    u: VertexId,
+    end: VertexId,
+    /// Position of the current `v` in `N⁺(u)`.
+    vi: usize,
+    /// Position of the next `w` in `N⁺(v)`.
+    wi: usize,
+}
+
+impl WedgeCursor<'_> {
+    /// Replaces `buf` with the next `max` wedges, or the rest of the bucket
+    /// if fewer remain. Returns `false` once the bucket is exhausted.
+    fn refill(&mut self, buf: &mut Vec<Wedge>, max: usize) -> bool {
+        buf.clear();
+        while buf.len() < max && self.u < self.end {
+            let Some(&v) = self.g.out_neighbors(self.u).get(self.vi) else {
+                self.u += 1;
+                self.vi = 0;
+                continue;
+            };
+            let out_v = self.g.out_neighbors(v);
+            let base_v = self.g.offsets()[v as usize] as u64;
+            let take = (out_v.len() - self.wi).min(max - buf.len());
+            buf.extend((self.wi..self.wi + take).map(|t| Wedge {
+                u: self.u,
+                key: out_v[t],
+                key_addr: base_v + t as u64,
+            }));
+            self.wi += take;
+            if self.wi == out_v.len() {
+                self.vi += 1;
+                self.wi = 0;
             }
         }
-        wedges
+        !buf.is_empty()
     }
 }
 
@@ -104,13 +146,15 @@ impl KernelGen for HuKernel<'_> {
     }
 
     fn gen_block(&self, idx: usize) -> (BlockTrace, u64) {
-        let wedges = self.bucket_wedges(idx);
         let wpb = self.warps_per_block;
         let chunk = 32 * wpb * self.batches_per_superstep;
         let mut warp_ops: Vec<Vec<WarpOp>> = vec![Vec::new(); wpb];
         let mut count = 0u64;
+        let mut cursor = self.bucket_wedges(idx);
+        let mut wedges = Vec::with_capacity(chunk);
 
-        for superstep in wedges.chunks(chunk) {
+        while cursor.refill(&mut wedges, chunk) {
+            let superstep = wedges.as_slice();
             // -- Copy phase: stage the distinct u-lists this chunk searches.
             // Wedges arrive grouped by u, so distinct-u detection is a scan.
             let mut stage_words = 0u64;

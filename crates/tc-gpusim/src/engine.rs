@@ -169,7 +169,7 @@ impl<'a, S: BlockSource + ?Sized> Sim<'a, S> {
                 continue;
             }
             self.metrics.warps += trace.num_warps();
-            let participants = trace.warps().filter(|w| sync_count(w) > 0).count();
+            let participants = trace.warps().map(sync_count).filter(|&n| n > 0).count();
             let block_idx = self.next_block - 1;
             let slot = &mut self.slots[slot_idx];
             slot.block_idx = block_idx;
@@ -293,7 +293,11 @@ fn run<'a, S: BlockSource + ?Sized>(
     while let Some(Reverse((now, _, slot_idx, lane))) = sim.events.pop() {
         let slot = &sim.slots[slot_idx];
         let sm_idx = slot.sm;
-        let op = slot.trace.as_ref().expect("resident block").warp(lane)[slot.warps[lane].pc];
+        let op = slot
+            .trace
+            .as_ref()
+            .expect("resident block")
+            .op(lane, slot.warps[lane].pc);
 
         match op {
             WarpOp::Compute(c) => {

@@ -38,7 +38,7 @@ pub use engine::{simulate, simulate_with_events, BlockEvent};
 pub use metrics::KernelMetrics;
 pub use ops::WarpOp;
 pub use pipeline::{simulate_pipelined, simulate_pipelined_auto, simulate_pipelined_with_events};
-pub use trace::{BlockSource, BlockTrace, BlockTraceBuilder, SliceBlockSource, WarpTrace};
+pub use trace::{BlockSource, BlockTrace, SliceBlockSource, WarpTrace};
 
 /// Simulated cycle count.
 pub type Cycles = u64;

@@ -13,7 +13,7 @@ use crate::config::GpuConfig;
 use crate::engine::simulate;
 use crate::ops::WarpOp;
 use crate::search::{lockstep_binary_search, SearchCosts, SearchSpace};
-use crate::trace::{BlockSource, BlockTrace};
+use crate::trace::{BlockSource, BlockTrace, WarpTrace};
 use crate::VertexId32;
 use std::borrow::Cow;
 
@@ -79,25 +79,22 @@ fn sweep_kernel(config: &GpuConfig, list_len: usize, extra_compute: u32) -> Swee
     let costs = SearchCosts::default();
     // Stage the list cooperatively from global memory: the block streams
     // `list_len` words, `ceil(len/32)` coalesced segments shared across
-    // warps; charge each warp its share.
+    // warps; charge each warp its share. Every warp runs the same rounds.
     let share = (list_len as u64).div_ceil(32 * config.warps_per_block as u64);
-    let mut b = BlockTrace::builder();
-    for _ in 0..config.warps_per_block {
-        for _ in 0..ROUNDS {
-            b.ops_mut().push(WarpOp::GlobalAccess {
-                segments: share.max(1) as u32,
-            });
-            b.ops_mut().push(WarpOp::BlockSync);
-            let _ = lockstep_binary_search(&list, &keys, SearchSpace::Shared, &costs, b.ops_mut());
-            if extra_compute > 0 {
-                b.ops_mut().push(WarpOp::Compute(extra_compute));
-            }
+    let mut ops = Vec::new();
+    for _ in 0..ROUNDS {
+        ops.push(WarpOp::GlobalAccess {
+            segments: share.max(1) as u32,
+        });
+        ops.push(WarpOp::BlockSync);
+        let _ = lockstep_binary_search(&list, &keys, SearchSpace::Shared, &costs, &mut ops);
+        if extra_compute > 0 {
+            ops.push(WarpOp::Compute(extra_compute));
         }
-        b.end_warp();
     }
     SweepKernel {
         blocks: config.blocks_per_sm,
-        block: b.finish(),
+        block: BlockTrace::new(vec![WarpTrace::new(ops); config.warps_per_block]),
     }
 }
 

@@ -2,46 +2,56 @@
 //!
 //! # Storage layout
 //!
-//! A [`BlockTrace`] stores all of its warps' ops in **one flat arena**
-//! (`Vec<WarpOp>`) plus a per-warp table of end offsets. Trace generation
-//! dominated by per-warp `Vec` allocations was the hottest host-side cost
-//! of the simulator; the arena turns a block's construction into at most
-//! two allocations regardless of warp count. Generators append ops through
-//! [`BlockTraceBuilder`] and seal warp boundaries with
-//! [`BlockTraceBuilder::end_warp`]; [`WarpTrace`] remains as a convenience
-//! wrapper for tests and hand-built traces.
+//! Generators emit each warp's ops as a [`WarpTrace`] and hand a block's
+//! warps to [`BlockTrace::new`], its only constructor. That packs every op
+//! into **one 4-byte word** of a flat per-block arena, plus a per-warp
+//! table of end offsets: at most three allocations per block, whatever its
+//! warp count, and half the bytes of a `WarpOp`, so the blocks resident in
+//! SM slots and in the pipeline's reorder buffer hold 4 bytes per op.
+//!
+//! A word's top 2 bits are the op kind and its low 30 bits the payload
+//! (cycles, segments or transactions; 0 for a barrier). A payload of
+//! 2^30 − 1 or more does not fit: its word holds the escape value 2^30 − 1
+//! and the real payload goes to the block's overflow list, keyed by op
+//! index, so every `u32` round-trips. Generators split long phases into
+//! ops of a few thousand cycles, so the list is normally empty. Readers
+//! see decoded [`WarpOp`]s through [`Ops`]; the engine decodes an op when
+//! it executes it ([`BlockTrace::op`]).
 
 use crate::ops::WarpOp;
 use std::borrow::Cow;
+use std::ops::Range;
 
-/// Total compute cycles in a warp's op slice.
-pub fn compute_cycles(ops: &[WarpOp]) -> u64 {
-    ops.iter()
+/// Total compute cycles in a sequence of ops.
+pub fn compute_cycles(ops: impl IntoIterator<Item = WarpOp>) -> u64 {
+    ops.into_iter()
         .map(|op| match op {
-            WarpOp::Compute(c) => *c as u64,
+            WarpOp::Compute(c) => c as u64,
             _ => 0,
         })
         .sum()
 }
 
-/// Total memory transactions (global + shared) in a warp's op slice.
-pub fn memory_transactions(ops: &[WarpOp]) -> u64 {
-    ops.iter()
+/// Total memory transactions (global + shared) in a sequence of ops.
+pub fn memory_transactions(ops: impl IntoIterator<Item = WarpOp>) -> u64 {
+    ops.into_iter()
         .map(|op| match op {
-            WarpOp::GlobalAccess { segments } => *segments as u64,
-            WarpOp::SharedAccess { transactions } => *transactions as u64,
+            WarpOp::GlobalAccess { segments } => segments as u64,
+            WarpOp::SharedAccess { transactions } => transactions as u64,
             _ => 0,
         })
         .sum()
 }
 
-/// Number of `BlockSync` barriers in a warp's op slice.
-pub fn sync_count(ops: &[WarpOp]) -> usize {
-    ops.iter().filter(|op| **op == WarpOp::BlockSync).count()
+/// Number of `BlockSync` barriers in a sequence of ops.
+pub fn sync_count(ops: impl IntoIterator<Item = WarpOp>) -> usize {
+    ops.into_iter()
+        .filter(|&op| op == WarpOp::BlockSync)
+        .count()
 }
 
-/// The op stream of one warp (convenience wrapper; block storage itself is
-/// the flat arena in [`BlockTrace`]).
+/// The op stream of one warp, as a generator emits it (a [`BlockTrace`]
+/// stores it packed).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct WarpTrace {
     /// Operations in program order.
@@ -61,21 +71,51 @@ impl WarpTrace {
 
     /// Total compute cycles in this trace.
     pub fn compute_cycles(&self) -> u64 {
-        compute_cycles(&self.ops)
+        compute_cycles(self.ops.iter().copied())
     }
 
     /// Total memory transactions (global + shared) in this trace.
     pub fn memory_transactions(&self) -> u64 {
-        memory_transactions(&self.ops)
+        memory_transactions(self.ops.iter().copied())
     }
 
     /// Number of `BlockSync` barriers this warp participates in.
     pub fn sync_count(&self) -> usize {
-        sync_count(&self.ops)
+        sync_count(self.ops.iter().copied())
     }
 }
 
-/// The op streams of one block's warps, stored as a flat arena.
+/// Payload bits of a packed op word; the kind takes the top two.
+const PAYLOAD_BITS: u32 = 30;
+
+/// Payload of a word whose real payload is in the overflow list; also the
+/// payload mask.
+const ESCAPE: u32 = (1 << PAYLOAD_BITS) - 1;
+
+/// Packs an op into a word, returning the payload separately when it does
+/// not fit.
+fn encode(op: WarpOp) -> (u32, Option<u32>) {
+    let (kind, payload) = match op {
+        WarpOp::Compute(c) => (0, c),
+        WarpOp::GlobalAccess { segments } => (1, segments),
+        WarpOp::SharedAccess { transactions } => (2, transactions),
+        WarpOp::BlockSync => (3, 0),
+    };
+    let spill = (payload >= ESCAPE).then_some(payload);
+    (kind << PAYLOAD_BITS | payload.min(ESCAPE), spill)
+}
+
+/// Asserts, in every build, that a block of `ops` ops fits its `u32` warp
+/// end offsets; wrapping would move warp boundaries silently.
+fn check_op_count(ops: usize) {
+    assert!(
+        u32::try_from(ops).is_ok(),
+        "block trace of {ops} ops overflows its u32 warp offsets"
+    );
+}
+
+/// The op streams of one block's warps, packed 4 bytes per op (see the
+/// [module docs](self)).
 ///
 /// Every **non-empty** warp of a block must contain the same number of
 /// `BlockSync` ops — a real kernel deadlocks otherwise, and
@@ -84,28 +124,42 @@ impl WarpTrace {
 /// the first barrier).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct BlockTrace {
-    /// All warps' ops, concatenated in warp order.
-    ops: Vec<WarpOp>,
-    /// `ends[i]` is the exclusive end of warp `i`'s range in `ops`
+    /// All warps' ops, concatenated in warp order, one packed word each.
+    words: Vec<u32>,
+    /// `(index in words, payload)` of every escaped word, in index order.
+    overflow: Vec<(u32, u32)>,
+    /// `ends[i]` is the exclusive end of warp `i`'s range in `words`
     /// (warp `i` starts where warp `i - 1` ends).
     ends: Vec<u32>,
 }
 
 impl BlockTrace {
-    /// Builds from warp traces (flattening them into the arena).
+    /// Packs a block's warps, in order.
+    ///
+    /// # Panics
+    /// Panics if the block holds more than `u32::MAX` ops.
     pub fn new(warps: Vec<WarpTrace>) -> Self {
-        let mut b =
-            BlockTraceBuilder::with_capacity(warps.len(), warps.iter().map(|w| w.ops.len()).sum());
+        let total = warps.iter().map(|w| w.ops.len()).sum();
+        // Every index and end offset below is at most `total`.
+        check_op_count(total);
+        let mut words = Vec::with_capacity(total);
+        let mut overflow = Vec::new();
+        let mut ends = Vec::with_capacity(warps.len());
         for w in &warps {
-            b.ops_mut().extend_from_slice(&w.ops);
-            b.end_warp();
+            for &op in &w.ops {
+                let (word, spill) = encode(op);
+                if let Some(payload) = spill {
+                    overflow.push((words.len() as u32, payload));
+                }
+                words.push(word);
+            }
+            ends.push(words.len() as u32);
         }
-        b.finish()
-    }
-
-    /// A builder appending ops directly into the arena.
-    pub fn builder() -> BlockTraceBuilder {
-        BlockTraceBuilder::default()
+        Self {
+            words,
+            overflow,
+            ends,
+        }
     }
 
     /// Number of warps in the block.
@@ -113,25 +167,67 @@ impl BlockTrace {
         self.ends.len()
     }
 
-    /// Op slice of warp `i`.
-    pub fn warp(&self, i: usize) -> &[WarpOp] {
+    /// Arena range of warp `i`.
+    fn range(&self, i: usize) -> Range<usize> {
         let start = if i == 0 { 0 } else { self.ends[i - 1] as usize };
-        &self.ops[start..self.ends[i] as usize]
+        start..self.ends[i] as usize
     }
 
-    /// Iterates over all warps' op slices.
-    pub fn warps(&self) -> impl Iterator<Item = &[WarpOp]> + '_ {
+    /// Decodes the op at arena index `idx`.
+    fn decode(&self, idx: usize) -> WarpOp {
+        let word = self.words[idx];
+        let mut payload = word & ESCAPE;
+        if payload == ESCAPE {
+            let at = self
+                .overflow
+                .binary_search_by_key(&(idx as u32), |&(i, _)| i)
+                .expect("escaped op has an overflow entry");
+            payload = self.overflow[at].1;
+        }
+        match word >> PAYLOAD_BITS {
+            0 => WarpOp::Compute(payload),
+            1 => WarpOp::GlobalAccess { segments: payload },
+            2 => WarpOp::SharedAccess {
+                transactions: payload,
+            },
+            _ => WarpOp::BlockSync,
+        }
+    }
+
+    /// Op `pc` of warp `warp`.
+    ///
+    /// # Panics
+    /// Panics if `pc` is past the warp's last op.
+    pub fn op(&self, warp: usize, pc: usize) -> WarpOp {
+        let range = self.range(warp);
+        assert!(pc < range.len(), "pc {pc} past the end of warp {warp}");
+        self.decode(range.start + pc)
+    }
+
+    /// The decoded ops of warp `i`.
+    pub fn warp(&self, i: usize) -> Ops<'_> {
+        Ops {
+            trace: self,
+            range: self.range(i),
+        }
+    }
+
+    /// Iterates over all warps' ops.
+    pub fn warps(&self) -> impl Iterator<Item = Ops<'_>> + '_ {
         (0..self.num_warps()).map(|i| self.warp(i))
     }
 
-    /// The whole arena (all warps' ops, concatenated).
-    pub fn all_ops(&self) -> &[WarpOp] {
-        &self.ops
+    /// All warps' ops, concatenated in warp order.
+    pub fn ops(&self) -> Ops<'_> {
+        Ops {
+            trace: self,
+            range: 0..self.words.len(),
+        }
     }
 
     /// Whether every warp is empty (the block is pure padding).
     pub fn all_empty(&self) -> bool {
-        self.ops.is_empty()
+        self.words.is_empty()
     }
 
     /// Whether all non-empty warps agree on barrier count (kernel is
@@ -145,65 +241,33 @@ impl BlockTrace {
     }
 }
 
-/// Incremental arena builder for [`BlockTrace`].
-///
-/// Push the current warp's ops into [`ops_mut`](Self::ops_mut), then seal
-/// the warp with [`end_warp`](Self::end_warp) (an immediate `end_warp`
-/// records an empty padding warp). The arena is never re-shuffled: building
-/// a block costs at most one allocation per backing vector, not one per
-/// warp.
-#[derive(Clone, Debug, Default)]
-pub struct BlockTraceBuilder {
-    ops: Vec<WarpOp>,
-    ends: Vec<u32>,
+/// Decoded ops of one warp, or of a whole block, of a [`BlockTrace`].
+#[derive(Clone, Debug)]
+pub struct Ops<'a> {
+    trace: &'a BlockTrace,
+    range: Range<usize>,
 }
 
-impl BlockTraceBuilder {
-    /// Pre-sizes the arena for `warps` warps and `ops` total ops.
-    pub fn with_capacity(warps: usize, ops: usize) -> Self {
-        Self {
-            ops: Vec::with_capacity(ops),
-            ends: Vec::with_capacity(warps),
-        }
-    }
-
-    /// The arena tail: ops pushed here belong to the warp currently being
-    /// built.
-    pub fn ops_mut(&mut self) -> &mut Vec<WarpOp> {
-        &mut self.ops
-    }
-
-    /// Seals the current warp at the arena's present length.
-    pub fn end_warp(&mut self) {
-        debug_assert!(
-            self.ops.len() <= u32::MAX as usize,
-            "block op arena overflow"
-        );
-        self.ends.push(self.ops.len() as u32);
-    }
-
-    /// Number of warps sealed so far.
-    pub fn num_warps(&self) -> usize {
-        self.ends.len()
-    }
-
-    /// Finishes the block.
-    ///
-    /// # Panics
-    /// Panics if ops were pushed after the last `end_warp` (they would
-    /// belong to no warp).
-    pub fn finish(self) -> BlockTrace {
-        assert_eq!(
-            self.ends.last().copied().unwrap_or(0) as usize,
-            self.ops.len(),
-            "ops pushed after the last end_warp()"
-        );
-        BlockTrace {
-            ops: self.ops,
-            ends: self.ends,
-        }
+impl Ops<'_> {
+    /// Whether no ops remain.
+    pub fn is_empty(&self) -> bool {
+        self.range.is_empty()
     }
 }
+
+impl Iterator for Ops<'_> {
+    type Item = WarpOp;
+
+    fn next(&mut self) -> Option<WarpOp> {
+        self.range.next().map(|i| self.trace.decode(i))
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        self.range.size_hint()
+    }
+}
+
+impl ExactSizeIterator for Ops<'_> {}
 
 /// A lazily generated sequence of block traces.
 ///
@@ -251,6 +315,11 @@ impl BlockSource for SliceBlockSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    fn decoded(t: &BlockTrace) -> Vec<Vec<WarpOp>> {
+        t.warps().map(Iterator::collect).collect()
+    }
 
     #[test]
     fn warp_trace_aggregates() {
@@ -296,47 +365,120 @@ mod tests {
     }
 
     #[test]
-    fn builder_matches_flattened_warps() {
-        let warps = vec![
-            WarpTrace::new(vec![WarpOp::Compute(1), WarpOp::BlockSync]),
-            WarpTrace::empty(),
-            WarpTrace::new(vec![
-                WarpOp::GlobalAccess { segments: 2 },
-                WarpOp::BlockSync,
-            ]),
-        ];
-        let mut b = BlockTrace::builder();
-        for w in &warps {
-            b.ops_mut().extend_from_slice(&w.ops);
-            b.end_warp();
-        }
-        let from_builder = b.finish();
-        assert_eq!(from_builder, BlockTrace::new(warps));
-        assert_eq!(from_builder.num_warps(), 3);
-        assert_eq!(from_builder.warp(1), &[]);
-        assert_eq!(from_builder.warp(2).len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "after the last end_warp")]
-    fn builder_rejects_unsealed_ops() {
-        let mut b = BlockTrace::builder();
-        b.ops_mut().push(WarpOp::Compute(1));
-        let _ = b.finish();
-    }
-
-    #[test]
     fn arena_accessors_agree_with_warp_views() {
         let warps = vec![
             WarpTrace::new(vec![WarpOp::Compute(5)]),
-            WarpTrace::new(vec![WarpOp::SharedAccess { transactions: 3 }]),
+            WarpTrace::empty(),
+            WarpTrace::new(vec![
+                WarpOp::SharedAccess { transactions: 3 },
+                WarpOp::BlockSync,
+            ]),
         ];
         let t = BlockTrace::new(warps);
-        assert_eq!(t.all_ops().len(), 2);
+        assert_eq!(t.num_warps(), 3);
+        assert_eq!(t.ops().len(), 3);
         assert!(!t.all_empty());
-        let collected: Vec<&[WarpOp]> = t.warps().collect();
-        assert_eq!(collected.len(), 2);
-        assert_eq!(compute_cycles(collected[0]), 5);
-        assert_eq!(memory_transactions(collected[1]), 3);
+        let collected: Vec<Ops<'_>> = t.warps().collect();
+        assert_eq!(collected.len(), 3);
+        assert_eq!(compute_cycles(collected[0].clone()), 5);
+        assert!(collected[1].is_empty());
+        assert_eq!(collected[2].len(), 2);
+        assert_eq!(memory_transactions(collected[2].clone()), 3);
+        assert_eq!(sync_count(t.ops()), 1);
+        assert_eq!(t.op(2, 1), WarpOp::BlockSync);
+        assert!(BlockTrace::new(vec![WarpTrace::empty(); 4]).all_empty());
+    }
+
+    /// Payloads from 2^30 − 1 up go through the overflow list; `op` and
+    /// the iterators read them back wherever they sit.
+    #[test]
+    fn large_payloads_round_trip() {
+        let ops = vec![
+            WarpOp::Compute(ESCAPE - 1),
+            WarpOp::GlobalAccess { segments: ESCAPE },
+            WarpOp::BlockSync,
+            WarpOp::SharedAccess {
+                transactions: u32::MAX,
+            },
+            WarpOp::Compute(1 << 30),
+        ];
+        let t = BlockTrace::new(vec![WarpTrace::new(ops.clone()); 2]);
+        assert_eq!(t.overflow.len(), 6, "three escaped ops per warp");
+        assert_eq!(decoded(&t), vec![ops.clone(), ops.clone()]);
+        for (pc, &op) in ops.iter().enumerate() {
+            assert_eq!(t.op(1, pc), op);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "past the end of warp 0")]
+    fn op_rejects_a_pc_past_its_warp() {
+        let t = BlockTrace::new(vec![
+            WarpTrace::new(vec![WarpOp::Compute(1)]),
+            WarpTrace::new(vec![WarpOp::Compute(2)]),
+        ]);
+        t.op(0, 1);
+    }
+
+    /// `BlockTrace::new` checks its total op count through
+    /// `check_op_count` before packing (a real 2^32-op block would take
+    /// 32 GiB of input). The check is an `assert!`, so release builds
+    /// refuse the block too instead of wrapping its warp offsets.
+    #[test]
+    #[should_panic(expected = "overflows its u32 warp offsets")]
+    fn op_counts_past_u32_are_rejected() {
+        check_op_count(u32::MAX as usize);
+        check_op_count(u32::MAX as usize + 1);
+    }
+
+    fn arb_payload() -> impl Strategy<Value = u32> {
+        prop_oneof![
+            Just(0),
+            Just(1),
+            Just(ESCAPE - 1),
+            Just(ESCAPE),
+            Just(1 << 30),
+            Just(u32::MAX),
+            0..u32::MAX,
+        ]
+    }
+
+    fn arb_op() -> impl Strategy<Value = WarpOp> {
+        (0u32..4, arb_payload()).prop_map(|(kind, payload)| match kind {
+            0 => WarpOp::Compute(payload),
+            1 => WarpOp::GlobalAccess { segments: payload },
+            2 => WarpOp::SharedAccess {
+                transactions: payload,
+            },
+            _ => WarpOp::BlockSync,
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Packing is lossless: the block decodes back to exactly the
+        /// warps it was built from, empty warps and all, through every
+        /// accessor.
+        #[test]
+        fn packed_block_decodes_to_its_warps(
+            warps in prop::collection::vec(
+                prop_oneof![Just(Vec::new()), prop::collection::vec(arb_op(), 1..12)],
+                0..6,
+            )
+        ) {
+            let t = BlockTrace::new(warps.iter().cloned().map(WarpTrace::new).collect());
+            prop_assert_eq!(t.num_warps(), warps.len());
+            prop_assert_eq!(&decoded(&t), &warps);
+            let flat: Vec<WarpOp> = warps.iter().flatten().copied().collect();
+            prop_assert_eq!(t.ops().collect::<Vec<_>>(), flat.clone());
+            prop_assert_eq!(t.all_empty(), flat.is_empty());
+            for (i, ops) in warps.iter().enumerate() {
+                prop_assert_eq!(t.warp(i).len(), ops.len());
+                for (pc, &op) in ops.iter().enumerate() {
+                    prop_assert_eq!(t.op(i, pc), op);
+                }
+            }
+        }
     }
 }

@@ -48,10 +48,7 @@ fn arb_barrier_blocks(max_blocks: usize) -> impl Strategy<Value = Vec<BlockTrace
 }
 
 fn total_compute(blocks: &[BlockTrace]) -> u64 {
-    blocks
-        .iter()
-        .map(|b| trace::compute_cycles(b.all_ops()))
-        .sum()
+    blocks.iter().map(|b| trace::compute_cycles(b.ops())).sum()
 }
 
 proptest! {
@@ -95,8 +92,8 @@ proptest! {
     #[test]
     fn metrics_conserve_op_totals(blocks in arb_blocks(10)) {
         let compute: u64 = total_compute(&blocks);
-        let global: u64 = blocks.iter().flat_map(|b| b.all_ops().iter())
-            .map(|op| match op { WarpOp::GlobalAccess { segments } => *segments as u64, _ => 0 })
+        let global: u64 = blocks.iter().flat_map(BlockTrace::ops)
+            .map(|op| match op { WarpOp::GlobalAccess { segments } => segments as u64, _ => 0 })
             .sum();
         let src = SliceBlockSource::new(blocks);
         let m = simulate(&GpuConfig::titan_xp_like(), &src);
