@@ -23,7 +23,7 @@
 use crate::config::GpuConfig;
 use crate::metrics::KernelMetrics;
 use crate::ops::WarpOp;
-use crate::trace::{sync_count, BlockSource, BlockTrace};
+use crate::trace::{BlockSource, BlockTrace};
 use std::borrow::Cow;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
@@ -169,7 +169,9 @@ impl<'a, S: BlockSource + ?Sized> Sim<'a, S> {
                 continue;
             }
             self.metrics.warps += trace.num_warps();
-            let participants = trace.warps().map(sync_count).filter(|&n| n > 0).count();
+            let participants = (0..trace.num_warps())
+                .filter(|&i| trace.warp_syncs(i) > 0)
+                .count();
             let block_idx = self.next_block - 1;
             let slot = &mut self.slots[slot_idx];
             slot.block_idx = block_idx;

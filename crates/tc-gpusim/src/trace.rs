@@ -13,10 +13,10 @@
 //! (cycles, segments or transactions; 0 for a barrier). A payload of
 //! 2^30 − 1 or more does not fit: its word holds the escape value 2^30 − 1
 //! and the real payload goes to the block's overflow list, keyed by op
-//! index, so every `u32` round-trips. Generators split long phases into
-//! ops of a few thousand cycles, so the list is normally empty. Readers
-//! see decoded [`WarpOp`]s through [`Ops`]; the engine decodes an op when
-//! it executes it ([`BlockTrace::op`]).
+//! index, so every `u32` round-trips; the list stays empty unless a
+//! generator emits a payload that large. Readers see decoded [`WarpOp`]s
+//! through [`Ops`]; the engine decodes an op when it executes it
+//! ([`BlockTrace::op`]).
 
 use crate::ops::WarpOp;
 use std::borrow::Cow;
@@ -91,6 +91,9 @@ const PAYLOAD_BITS: u32 = 30;
 /// Payload of a word whose real payload is in the overflow list; also the
 /// payload mask.
 const ESCAPE: u32 = (1 << PAYLOAD_BITS) - 1;
+
+/// The word of a `BlockSync`, which has no payload.
+const SYNC_WORD: u32 = 3 << PAYLOAD_BITS;
 
 /// Packs an op into a word, returning the payload separately when it does
 /// not fit.
@@ -178,11 +181,7 @@ impl BlockTrace {
         let word = self.words[idx];
         let mut payload = word & ESCAPE;
         if payload == ESCAPE {
-            let at = self
-                .overflow
-                .binary_search_by_key(&(idx as u32), |&(i, _)| i)
-                .expect("escaped op has an overflow entry");
-            payload = self.overflow[at].1;
+            payload = self.spilled(idx);
         }
         match word >> PAYLOAD_BITS {
             0 => WarpOp::Compute(payload),
@@ -192,6 +191,18 @@ impl BlockTrace {
             },
             _ => WarpOp::BlockSync,
         }
+    }
+
+    /// The overflow payload of the escaped op at arena index `idx`. Kept
+    /// out of line so the common decode path stays small.
+    #[cold]
+    #[inline(never)]
+    fn spilled(&self, idx: usize) -> u32 {
+        let at = self
+            .overflow
+            .binary_search_by_key(&(idx as u32), |&(i, _)| i)
+            .expect("escaped op has an overflow entry");
+        self.overflow[at].1
     }
 
     /// Op `pc` of warp `warp`.
@@ -230,10 +241,21 @@ impl BlockTrace {
         self.words.is_empty()
     }
 
+    /// Number of `BlockSync` ops in warp `i`, counted on the packed words
+    /// without decoding them.
+    pub(crate) fn warp_syncs(&self, i: usize) -> usize {
+        self.words[self.range(i)]
+            .iter()
+            .filter(|&&w| w == SYNC_WORD)
+            .count()
+    }
+
     /// Whether all non-empty warps agree on barrier count (kernel is
     /// deadlock-free). Empty padding warps are ignored.
     pub fn barriers_consistent(&self) -> bool {
-        let mut counts = self.warps().filter(|w| !w.is_empty()).map(sync_count);
+        let mut counts = (0..self.num_warps())
+            .filter(|&i| !self.range(i).is_empty())
+            .map(|i| self.warp_syncs(i));
         match counts.next() {
             None => true,
             Some(first) => counts.all(|c| c == first),
@@ -475,6 +497,7 @@ mod tests {
             prop_assert_eq!(t.all_empty(), flat.is_empty());
             for (i, ops) in warps.iter().enumerate() {
                 prop_assert_eq!(t.warp(i).len(), ops.len());
+                prop_assert_eq!(t.warp_syncs(i), sync_count(ops.iter().copied()));
                 for (pc, &op) in ops.iter().enumerate() {
                     prop_assert_eq!(t.op(i, pc), op);
                 }
