@@ -16,7 +16,8 @@
 //! index, so every `u32` round-trips; the list stays empty unless a
 //! generator emits a payload that large. Readers see decoded [`WarpOp`]s
 //! through [`Ops`]; the engine decodes an op when it executes it
-//! ([`BlockTrace::op`]).
+//! ([`BlockTrace::op`]) and counts barriers on the packed words, where a
+//! payload-free `BlockSync` is always the same word.
 
 use crate::ops::WarpOp;
 use std::borrow::Cow;
