@@ -777,6 +777,7 @@ impl ScratchPool {
 mod tests {
     use super::*;
     use crate::intersect::merge_count;
+    use proptest::prelude::*;
 
     fn lists() -> Vec<(Vec<u32>, Vec<u32>)> {
         vec![
@@ -817,6 +818,116 @@ mod tests {
                 );
                 // Symmetry.
                 assert_eq!(intersect_count(kernel, &b, &a, &mut scratch), expect);
+            }
+        }
+    }
+
+    /// A scratch whose bitmap already holds stale state: a dense run, a
+    /// far word inside the operands' id range and one beyond it.
+    fn dirty_scratch() -> Scratch {
+        let mut scratch = Scratch::new();
+        let noise: Vec<u32> = (0..97).chain([640, 4097]).collect();
+        scratch.mark(&noise);
+        scratch
+    }
+
+    /// Every tier [`Kernel::Adaptive`] routes a pair or a wedge to,
+    /// checked against the scalar merge in both operand orders: the pair
+    /// crossover itself, the gallop, the balanced-side merge (the SIMD
+    /// block merge under `--features simd`) and the pinned probe, which
+    /// pins each operand in turn and probes the other through `scratch`.
+    fn assert_tiers_match_merge(a: &[u32], b: &[u32], scratch: &mut Scratch) {
+        let expect = merge_count(a, b);
+        for (x, y) in [(a, b), (b, a)] {
+            let shape = format!("{} vs {} elements", x.len(), y.len());
+            assert_eq!(adaptive_pair(x, y), expect, "pair crossover, {shape}");
+            assert_eq!(gallop_count(x, y), expect, "gallop, {shape}");
+            assert_eq!(adaptive_merge(x, y), expect, "balanced merge, {shape}");
+            scratch.mark(x);
+            assert_eq!(
+                scratch.count_marked_fast(y),
+                expect,
+                "pinned probe, {shape}"
+            );
+        }
+    }
+
+    /// The adversarial list lengths: zero, singleton, and every
+    /// off-by-one around the 64-bit bitmap word and the 128-element
+    /// double word the packed bitmap and the SIMD blocks care about.
+    const ADVERSARIAL_LENS: [usize; 7] = [0, 1, 63, 64, 65, 127, 128];
+
+    /// A strictly increasing list of one of [`ADVERSARIAL_LENS`], with
+    /// gaps drawn from 1 (dense runs sharing words) to 69 (every element
+    /// in its own word), so one case mixes both.
+    fn adversarial_list() -> impl Strategy<Value = Vec<u32>> {
+        (
+            0usize..ADVERSARIAL_LENS.len(),
+            0u32..128,
+            prop::collection::vec(1u32..70, 128..129),
+        )
+            .prop_map(|(len_idx, start, gaps)| {
+                let mut x = start;
+                gaps.iter()
+                    .take(ADVERSARIAL_LENS[len_idx])
+                    .map(|&g| {
+                        let v = x;
+                        x += g;
+                        v
+                    })
+                    .collect()
+            })
+    }
+
+    #[test]
+    fn adaptive_tiers_match_merge_on_fixtures() {
+        let mut dirty = dirty_scratch();
+        for (a, b) in lists() {
+            assert_tiers_match_merge(&a, &b, &mut Scratch::new());
+            assert_tiers_match_merge(&a, &b, &mut dirty);
+        }
+    }
+
+    #[test]
+    fn pair_crossover_boundary_matches_merge() {
+        // Long lists one below, at and one above GALLOP_RATIO times the
+        // short one, so the pair takes each side of the crossover; the
+        // short list hits every other stride of the long one and misses
+        // in between.
+        for s in [1usize, 2, 4, 7] {
+            for l in [s * GALLOP_RATIO - 1, s * GALLOP_RATIO, s * GALLOP_RATIO + 1] {
+                let long: Vec<u32> = (0..l as u32).map(|x| 2 * x).collect();
+                let short: Vec<u32> = (0..s as u32)
+                    .map(|i| i * 2 * GALLOP_RATIO as u32 + i % 2)
+                    .collect();
+                assert_tiers_match_merge(&short, &long, &mut Scratch::new());
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn adaptive_tiers_match_merge_on_adversarial_lists(
+            (a, b) in (adversarial_list(), adversarial_list()),
+        ) {
+            assert_tiers_match_merge(&a, &b, &mut Scratch::new());
+            assert_tiers_match_merge(&a, &b, &mut dirty_scratch());
+        }
+
+        #[test]
+        fn adaptive_tiers_cover_overlap_extremes(offset in 0u32..200) {
+            let mut dirty = dirty_scratch();
+            for la in ADVERSARIAL_LENS {
+                for lb in ADVERSARIAL_LENS {
+                    let a: Vec<u32> = (offset..offset + la as u32).collect();
+                    let same: Vec<u32> = (offset..offset + lb as u32).collect();
+                    let disjoint: Vec<u32> = (1000 + offset..1000 + offset + lb as u32).collect();
+                    for b in [&same, &disjoint] {
+                        assert_tiers_match_merge(&a, b, &mut dirty);
+                    }
+                }
             }
         }
     }
