@@ -24,21 +24,75 @@ use tc_bench::experiments::*;
 use tc_bench::{cpu_bench, pipeline_bench, serve_bench, stream_bench, ExperimentEnv};
 use tc_datasets::Dataset;
 
-struct Cli {
-    env: ExperimentEnv,
+/// The parsed command line.
+#[derive(Debug, Default, PartialEq)]
+struct Args {
+    /// Experiment ids, in the order given.
+    ids: Vec<String>,
     small: bool,
     /// `--kernels=a,b,c` filter for `cpu-bench` (None = all kernels).
     kernels: Option<String>,
     /// `--shards=1,2,4` shard counts for the `serve-bench` contended
     /// sweep (None = 1,2,4; 1,2 with `--small`).
-    shards: Option<String>,
-    /// `--clients=N` concurrency for the `serve-bench` contended sweep.
+    shards: Option<Vec<usize>>,
+    /// `--clients=N` concurrency for the `serve-bench` contended sweep
+    /// (None = 8).
     clients: Option<usize>,
+}
+
+/// Parses the arguments after the program name. A flag outside the
+/// usage line, or a flag value that does not parse, is an error: a typo
+/// must never run the default sweep and overwrite a committed BENCH
+/// file.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    for arg in args {
+        let Some(flag) = arg.strip_prefix("--") else {
+            parsed.ids.push(arg.clone());
+            continue;
+        };
+        match flag.split_once('=') {
+            None if flag == "small" => parsed.small = true,
+            Some(("kernels", list)) => parsed.kernels = Some(list.to_string()),
+            Some(("shards", list)) => {
+                let counts: Option<Vec<usize>> =
+                    list.split(',').map(|c| c.trim().parse().ok()).collect();
+                match counts {
+                    Some(c) if !c.is_empty() && c.iter().all(|&n| n >= 1) => {
+                        parsed.shards = Some(c)
+                    }
+                    _ => return Err("--shards wants a comma-separated list of counts >= 1".into()),
+                }
+            }
+            Some(("clients", n)) => match n.parse() {
+                Ok(n) if n >= 1 => parsed.clients = Some(n),
+                _ => return Err("--clients wants a count >= 1".into()),
+            },
+            _ => return Err(format!("unknown flag {arg}")),
+        }
+    }
+    if parsed.ids.is_empty() {
+        return Err("no experiment id given".into());
+    }
+    Ok(parsed)
+}
+
+fn usage() -> String {
+    format!(
+        "usage: experiments <{}|bench-pipeline|serve-bench|stream-bench|cpu-bench|all> \
+         [--small] [--kernels=a,b,c] [--shards=1,2,4] [--clients=N]",
+        ALL.join("|")
+    )
+}
+
+struct Cli {
+    env: ExperimentEnv,
+    args: Args,
 }
 
 impl Cli {
     fn suite_or(&self, full: Vec<Dataset>) -> Vec<Dataset> {
-        if self.small {
+        if self.args.small {
             Dataset::small_suite()
         } else {
             full
@@ -133,7 +187,7 @@ impl Cli {
                 println!("{}", trust_grid::render(&cells));
             }
             "bench-pipeline" => {
-                let timings = pipeline_bench::run(self.small);
+                let timings = pipeline_bench::run(self.args.small);
                 println!("{}", pipeline_bench::render(&timings));
                 let json = pipeline_bench::to_json(&timings);
                 match std::fs::write("BENCH_pipeline.json", &json) {
@@ -145,27 +199,15 @@ impl Cli {
                 }
             }
             "serve-bench" => {
-                let rows = serve_bench::run(self.small);
+                let rows = serve_bench::run(self.args.small);
                 println!("{}", serve_bench::render(&rows));
-                let shard_counts: Vec<usize> = match &self.shards {
-                    Some(list) => {
-                        let parsed: Result<Vec<usize>, _> =
-                            list.split(',').map(|s| s.trim().parse()).collect();
-                        match parsed {
-                            Ok(counts) if !counts.is_empty() && counts.iter().all(|&c| c >= 1) => {
-                                counts
-                            }
-                            _ => {
-                                eprintln!("--shards wants a comma-separated list of counts >= 1");
-                                return false;
-                            }
-                        }
-                    }
-                    None if self.small => vec![1, 2],
+                let shard_counts = match &self.args.shards {
+                    Some(counts) => counts.clone(),
+                    None if self.args.small => vec![1, 2],
                     None => vec![1, 2, 4],
                 };
-                let clients = self.clients.unwrap_or(8);
-                let contended = serve_bench::run_contended(&shard_counts, clients, self.small);
+                let clients = self.args.clients.unwrap_or(8);
+                let contended = serve_bench::run_contended(&shard_counts, clients, self.args.small);
                 println!("{}", serve_bench::render_contended(&contended));
                 let json = serve_bench::to_json_with_contended(&rows, &contended);
                 match std::fs::write("BENCH_service.json", &json) {
@@ -177,19 +219,19 @@ impl Cli {
                 }
             }
             "cpu-bench" => {
-                let kernels = match cpu_bench::select_kernels(self.kernels.as_deref()) {
+                let kernels = match cpu_bench::select_kernels(self.args.kernels.as_deref()) {
                     Ok(k) => k,
                     Err(e) => {
                         eprintln!("{e}");
                         return false;
                     }
                 };
-                let reports = cpu_bench::run_filtered(self.small, &kernels);
+                let reports = cpu_bench::run_filtered(self.args.small, &kernels);
                 println!("{}", cpu_bench::render(&reports));
                 // Only full, unfiltered sweeps overwrite the committed
                 // benchmark file; smoke runs and kernel subsets would
                 // clobber it with partial data.
-                if self.small || kernels.len() != cpu_bench::KERNELS.len() {
+                if self.args.small || kernels.len() != cpu_bench::KERNELS.len() {
                     eprintln!("partial cpu-bench run: BENCH_cpu.json left untouched");
                 } else {
                     let json = cpu_bench::to_json(&reports);
@@ -203,9 +245,9 @@ impl Cli {
                 }
             }
             "stream-bench" => {
-                let reports = stream_bench::run(self.small);
+                let reports = stream_bench::run(self.args.small);
                 println!("{}", stream_bench::render(&reports));
-                let analytics = stream_bench::run_analytics(self.small);
+                let analytics = stream_bench::run_analytics(self.args.small);
                 println!("{}", stream_bench::render_analytics(&analytics));
                 let json = stream_bench::to_json_with_analytics(&reports, &analytics);
                 match std::fs::write("BENCH_stream.json", &json) {
@@ -258,52 +300,95 @@ const ALL: [&str; 17] = [
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let small = args.iter().any(|a| a == "--small");
-    let kernels = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--kernels=").map(str::to_string));
-    let shards = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--shards=").map(str::to_string));
-    let clients = args
-        .iter()
-        .find_map(|a| a.strip_prefix("--clients=").and_then(|v| v.parse().ok()));
-    let ids: Vec<&str> = args
-        .iter()
-        .filter(|a| !a.starts_with("--"))
-        .map(String::as_str)
-        .collect();
-    if ids.is_empty() {
-        eprintln!(
-            "usage: experiments <{}|bench-pipeline|serve-bench|stream-bench|cpu-bench|all> \
-             [--small] [--kernels=a,b,c] [--shards=1,2,4] [--clients=N]",
-            ALL.join("|")
-        );
-        std::process::exit(2);
-    }
+    let args = match parse_args(&args) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("{e}\n{}", usage());
+            std::process::exit(2);
+        }
+    };
 
     eprintln!("calibrating model parameters against the simulated GPU...");
     let cli = Cli {
         env: ExperimentEnv::new(),
-        small,
-        kernels,
-        shards,
-        clients,
+        args,
     };
     eprintln!("lambda = {:.3}", cli.env.params().lambda);
 
     let mut ok = true;
-    if ids.contains(&"all") {
+    if cli.args.ids.iter().any(|id| id == "all") {
         for id in ALL {
             eprintln!("--- running {id} ---");
             ok &= cli.run_timed(id);
         }
     } else {
-        for id in ids {
+        for id in &cli.args.ids {
             ok &= cli.run_timed(id);
         }
     }
     if !ok {
         std::process::exit(2);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<Args, String> {
+        parse_args(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parses_ids_and_every_flag() {
+        let args = parse(&[
+            "serve-bench",
+            "--small",
+            "--shards=1, 2",
+            "--clients=4",
+            "cpu-bench",
+            "--kernels=merge",
+        ])
+        .unwrap();
+        assert_eq!(
+            args,
+            Args {
+                ids: vec!["serve-bench".into(), "cpu-bench".into()],
+                small: true,
+                kernels: Some("merge".into()),
+                shards: Some(vec![1, 2]),
+                clients: Some(4),
+            }
+        );
+    }
+
+    #[test]
+    fn rejects_unknown_flags() {
+        for flag in ["--smal", "--small=1", "--threads=2", "--clients", "--"] {
+            assert!(parse(&["fig7", flag]).is_err(), "{flag} accepted");
+        }
+    }
+
+    #[test]
+    fn rejects_non_numeric_clients() {
+        assert!(parse(&["serve-bench", "--clients=abc"]).is_err());
+    }
+
+    #[test]
+    fn rejects_zero_clients() {
+        assert!(parse(&["serve-bench", "--clients=0"]).is_err());
+    }
+
+    #[test]
+    fn rejects_bad_shard_lists() {
+        for list in ["--shards=", "--shards=1,x", "--shards=0,2", "--shards=1,,2"] {
+            assert!(parse(&["serve-bench", list]).is_err(), "{list} accepted");
+        }
+    }
+
+    #[test]
+    fn rejects_a_missing_experiment_id() {
+        assert!(parse(&[]).is_err());
+        assert!(parse(&["--small"]).is_err());
     }
 }
