@@ -45,15 +45,12 @@ pub fn node_iterator(g: &CsrGraph) -> u64 {
 /// lists. Every triangle is seen from its three edges, so the sum is
 /// divided by three.
 pub fn edge_iterator(g: &CsrGraph) -> u64 {
-    with_thread_scratch(|scratch| {
-        let mut total = 0u64;
-        for (u, v) in g.edges() {
-            total +=
-                engine::intersect_count(Kernel::Adaptive, g.neighbors(u), g.neighbors(v), scratch);
-        }
-        debug_assert_eq!(total % 3, 0, "each triangle must be seen thrice");
-        total / 3
-    })
+    let total: u64 = g
+        .edges()
+        .map(|(u, v)| engine::intersect_count(g.neighbors(u), g.neighbors(v)))
+        .sum();
+    debug_assert_eq!(total % 3, 0, "each triangle must be seen thrice");
+    total / 3
 }
 
 /// The forward algorithm: orient edges from lower to higher (degree, id)

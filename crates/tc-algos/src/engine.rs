@@ -8,33 +8,30 @@
 //! length are **compute-bound** and the branch-friendly linear merge
 //! wins. The GPU kernels encode that choice statically; this module is
 //! the CPU mirror, with the choice made per pair (and per vertex) from
-//! the same size-ratio model:
+//! the same size-ratio model. There are two kernels:
 //!
 //! - [`Kernel::Merge`] — two-pointer linear merge, `O(|a| + |b|)`.
-//!   The seed implementation used this unconditionally.
-//! - [`Kernel::Galloping`] — exponential (galloping) search of each
-//!   element of the shorter list in the longer, with a monotone cursor;
-//!   `O(s · log(l/s))` total. Wins when `l ≫ s`.
-//! - [`Kernel::Bitmap`] — membership bitmap, probed one element at a
-//!   time: mark one list once, test the other at `O(1)` per element.
-//!   Kept as the scalar-probe reference the word kernel is measured
-//!   against.
-//! - [`Kernel::WordBitmap`] — the same bitmap probed one **word** at a
-//!   time: consecutive probe candidates sharing a 64-vertex word are
-//!   packed into one probe mask and answered with a single
-//!   `AND` + `count_ones`, so a dense probe list retires up to 64
-//!   membership tests per instruction (see [`Scratch::count_marked`]).
-//! - [`Kernel::SimdMerge`] — chunked merge that compares blocks of
-//!   elements per step ([`crate::simd`]): AVX2/SSE all-pairs compare
-//!   under the `simd` cargo feature (runtime-detected), a scalar block
-//!   merge otherwise.
-//! - [`Kernel::Adaptive`] — the crossover selector: pins every vertex
-//!   with at least [`PIN_DEGREE`] out-edges and probes through the
-//!   fastest membership kernel available (the AVX2 eight-wide gather of
-//!   [`crate::simd::probe_count`] under the `simd` feature, the scalar
-//!   loop otherwise), escaping to a gallop when a probe list outweighs
-//!   the pinned list by [`PROBE_GALLOP_RATIO`]; raw pairs go through
-//!   the [`GALLOP_RATIO`] gallop/merge crossover.
+//!   The seed implementation used this unconditionally; it stays as the
+//!   reference the benchmarks and tests measure the engine against.
+//! - [`Kernel::Adaptive`] — the crossover selector. Its tiers are
+//!   private:
+//!   - A raw pair ([`intersect_count`]) gallops — an exponential search
+//!     of each element of the shorter list in the longer, with a
+//!     monotone cursor, `O(s · log(l/s))` — once the longer list is
+//!     `GALLOP_RATIO` times the shorter. Otherwise it merges: with the
+//!     AVX2/SSE2 block merge of [`crate::simd`] under the `simd` cargo
+//!     feature (runtime-detected), with the scalar merge without it.
+//!   - The counting loops pin every vertex that can close a triangle:
+//!     its out-list goes into the bitmap below once, and each wedge's
+//!     list is probed against it ([`Scratch::count_marked`]: the AVX2
+//!     eight-wide gather under the `simd` feature, a scalar loop
+//!     otherwise).
+//!   - A probe list `PROBE_GALLOP_RATIO` times longer than the pinned
+//!     list gallops the pinned list through it instead.
+//!
+//! `cpu-bench` once also swept a gallop-only kernel, a scalar-probe
+//! bitmap, a word-`AND` bitmap probe and a stand-alone SIMD merge. None
+//! won a cell, so they were cut (DESIGN.md §3.10 keeps their numbers).
 //!
 //! ## The packed bitmap
 //!
@@ -52,11 +49,10 @@
 //! Versus the old one-`u32`-per-vertex stamp array the packed words are
 //! 32× smaller (8 bytes per 64 vertices instead of 256), which keeps
 //! the whole bitmap of a few-hundred-thousand-vertex graph inside
-//! L1/L2 during the pinned counting loops — and it is what unlocks the
-//! word-AND probe ([`Scratch::count_marked`]).
+//! L1/L2 during the pinned counting loops.
 //!
-//! All kernels run against a caller-owned [`Scratch`], so the hot loop
-//! performs **zero heap allocation** once the scratch has warmed up: the
+//! The counting loops run against a caller-owned [`Scratch`], so they
+//! perform **zero heap allocation** once the scratch has warmed up: the
 //! counting entry points size the bitmap to the graph once up front
 //! ([`Scratch::reserve_vertices`]) and assert it never reallocates
 //! mid-count.
@@ -78,7 +74,7 @@ use tc_graph::{DirectedGraph, VertexId};
 /// scalar-era value stands. This ratio governs the per-pair crossover
 /// ([`intersect_count`] on raw lists); the pinned vertex loop uses the
 /// much higher [`PROBE_GALLOP_RATIO`].
-pub const GALLOP_RATIO: usize = 16;
+const GALLOP_RATIO: usize = 16;
 
 /// Wedge-level escape hatch of the pinned probe loop: when a probe list
 /// is this many times longer than the pinned list, [`Kernel::Adaptive`]
@@ -89,73 +85,31 @@ pub const GALLOP_RATIO: usize = 16;
 /// `|N⁺(u)| · log |N⁺(v)|` regardless. The crossover sits far above
 /// [`GALLOP_RATIO`] because the vectorised gather probe
 /// ([`crate::simd::probe_count`]) retires probes several times faster
-/// than the branchy per-element gallop steps — the PR 6 sweep over
+/// than the branchy per-element gallop steps — a sweep over
 /// {8, 16, 32, 64, 128} put 8–16 clearly behind and 32–128 within
 /// run-to-run noise of each other on every dataset/ordering cell.
-pub const PROBE_GALLOP_RATIO: usize = 64;
+const PROBE_GALLOP_RATIO: usize = 64;
 
-/// Out-degree past which [`Kernel::Adaptive`] pins a vertex's
-/// neighbour list into the bitmap instead of merging per pair.
-///
-/// Pinning costs `d(u)` bit writes and then answers each wedge with
-/// `O(1)` probes instead of a `d(u) + d(v)` merge, so it amortises
-/// almost immediately. The scalar-probe era ran with 4 (4 vs 2 within
-/// noise); re-sweeping after the gather probe landed moved 2 slightly
-/// but consistently ahead, so the engine now pins every vertex that can
-/// form a wedge at all — the per-pair crossover path only serves direct
-/// [`intersect_count`] callers (e.g. the per-edge deltas in
-/// `tc-stream`). The degree-skew worst case — a tiny pinned list
-/// probing a hub's successor list — is covered by the
-/// [`PROBE_GALLOP_RATIO`] escape inside the pinned loop itself.
-pub const PIN_DEGREE: usize = 2;
-
-/// An intersection strategy. `Adaptive` is the engine's decision mode;
-/// the fixed kernels exist so benchmarks and tests can pin a strategy.
+/// An intersection strategy: [`Kernel::Adaptive`] is the engine, and
+/// [`Kernel::Merge`] is the reference it is measured and tested against.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum Kernel {
     /// Two-pointer linear merge (the seed behaviour).
     Merge,
-    /// Galloping (exponential) search of the shorter list in the longer.
-    Galloping,
-    /// Bitmap mark-and-probe, one element per probe (the scalar
-    /// reference for [`Kernel::WordBitmap`]).
-    Bitmap,
-    /// Bitmap mark-and-probe, one packed `u64` word per probe
-    /// (`AND` + `count_ones` over up to 64 candidates at a time).
-    WordBitmap,
-    /// Chunked/vectorised merge (`simd` feature: AVX2/SSE; otherwise a
-    /// scalar block merge).
-    SimdMerge,
-    /// Size-ratio crossover between the above.
+    /// Size-ratio crossover between gallop, merge and pinned probes.
     Adaptive,
 }
 
 impl Kernel {
-    /// Every kernel, in benchmark-sweep order.
-    pub const ALL: [Kernel; 6] = [
-        Kernel::Merge,
-        Kernel::Galloping,
-        Kernel::Bitmap,
-        Kernel::WordBitmap,
-        Kernel::SimdMerge,
-        Kernel::Adaptive,
-    ];
+    /// Both kernels, in benchmark-sweep order.
+    pub const ALL: [Kernel; 2] = [Kernel::Merge, Kernel::Adaptive];
 
-    /// Stable display / wire name.
+    /// Stable display name.
     pub fn name(&self) -> &'static str {
         match self {
             Kernel::Merge => "merge",
-            Kernel::Galloping => "galloping",
-            Kernel::Bitmap => "bitmap",
-            Kernel::WordBitmap => "word-bitmap",
-            Kernel::SimdMerge => "simd-merge",
             Kernel::Adaptive => "adaptive",
         }
-    }
-
-    /// Inverse of [`name`](Kernel::name).
-    pub fn from_name(name: &str) -> Option<Kernel> {
-        Kernel::ALL.into_iter().find(|k| k.name() == name)
     }
 }
 
@@ -169,7 +123,7 @@ const WORD_SHIFT: u32 = 6;
 const WORD_MASK: u32 = 63;
 
 /// Reusable per-thread working memory: the packed membership bitmap
-/// behind the bitmap kernels, the slot marker behind [`edge_triangles`],
+/// behind the pinned probe, the slot marker behind [`edge_triangles`],
 /// and two staging buffers for intersections whose operands only exist
 /// as iterators (layered adjacency in `tc-stream`).
 ///
@@ -277,16 +231,11 @@ impl Scratch {
         }
     }
 
-    /// Word `w` of the bitmap (zero when out of range).
-    #[inline]
-    fn word(&self, w: usize) -> u64 {
-        self.words.get(w).copied().unwrap_or(0)
-    }
-
     /// Whether `v` is in the marked set.
     #[inline]
     pub fn is_marked(&self, v: VertexId) -> bool {
-        self.word((v >> WORD_SHIFT) as usize) >> (v & WORD_MASK) & 1 == 1
+        let word = self.words.get((v >> WORD_SHIFT) as usize);
+        word.is_some_and(|&w| w >> (v & WORD_MASK) & 1 == 1)
     }
 
     /// Drops the tail of a sorted probe list that lies past the largest
@@ -305,53 +254,14 @@ impl Scratch {
         }
     }
 
-    /// How many elements of `list` are in the marked set, one word-`AND`
-    /// per 64-vertex word the (sorted) list touches.
-    ///
-    /// Consecutive candidates sharing a word are packed into a probe
-    /// mask; the word is fetched once and answered with
-    /// `(live & mask).count_ones()`. On the renumbered orderings the
-    /// paper studies (A-order, D-order) neighbour ids cluster, so dense
-    /// hub lists retire tens of membership tests per probe. Ids beyond
-    /// the marked range read as absent.
+    /// How many elements of the sorted `list` are in the marked set: the
+    /// pinned probe of [`Kernel::Adaptive`]. The list is clipped to the
+    /// marked range, then probed through the fastest membership loop
+    /// available — the AVX2 eight-wide gather of `simd::probe_count`
+    /// when the `simd` feature is on and the CPU has it, a scalar loop
+    /// that sums the membership bits otherwise. Ids beyond the bitmap
+    /// read as absent.
     pub fn count_marked(&self, list: &[VertexId]) -> u64 {
-        let list = self.clip(list);
-        let mut count = 0u64;
-        let mut cur = usize::MAX;
-        let mut mask = 0u64;
-        for &v in list {
-            let w = (v >> WORD_SHIFT) as usize;
-            if w != cur {
-                count += (self.word(cur) & mask).count_ones() as u64;
-                cur = w;
-                mask = 0;
-            }
-            mask |= 1u64 << (v & WORD_MASK);
-        }
-        count + (self.word(cur) & mask).count_ones() as u64
-    }
-
-    /// [`count_marked`](Scratch::count_marked) probing one element at a
-    /// time — the scalar reference path [`Kernel::Bitmap`] pins so the
-    /// word-batched win stays measurable in `cpu-bench`.
-    ///
-    /// The probe list is first clipped to the marked range by
-    /// `Scratch::clip`, and the membership bit is summed rather than
-    /// branched on, keeping the loop a straight stream of loads the core
-    /// can pipeline.
-    pub fn count_marked_scalar(&self, list: &[VertexId]) -> u64 {
-        self.clip(list)
-            .iter()
-            .map(|&v| self.word((v >> WORD_SHIFT) as usize) >> (v & WORD_MASK) & 1)
-            .sum()
-    }
-
-    /// [`count_marked_scalar`](Scratch::count_marked_scalar) through the
-    /// fastest probe kernel available — the AVX2 eight-wide gather tier
-    /// of [`crate::simd::probe_count`] when the `simd` feature is on
-    /// and the CPU has it, the identical scalar loop otherwise. This is
-    /// what [`Kernel::Adaptive`] probes with.
-    pub fn count_marked_fast(&self, list: &[VertexId]) -> u64 {
         crate::simd::probe_count(&self.words, self.clip(list))
     }
 
@@ -368,26 +278,20 @@ impl Scratch {
     }
 
     /// Intersection count of two sorted iterators: stages both into the
-    /// reusable buffers, then dispatches to `kernel` on the slices.
+    /// reusable buffers, then runs [`intersect_count`] on the slices.
     /// The staging path exists for operands without a contiguous
     /// representation (layered adjacency); slice operands should call
     /// [`intersect_count`] directly.
     pub fn intersect_iters(
         &mut self,
-        kernel: Kernel,
         a: impl Iterator<Item = VertexId>,
         b: impl Iterator<Item = VertexId>,
     ) -> u64 {
-        let mut buf_a = std::mem::take(&mut self.buf_a);
-        let mut buf_b = std::mem::take(&mut self.buf_b);
-        buf_a.clear();
-        buf_b.clear();
-        buf_a.extend(a);
-        buf_b.extend(b);
-        let count = intersect_count(kernel, &buf_a, &buf_b, self);
-        self.buf_a = buf_a;
-        self.buf_b = buf_b;
-        count
+        self.buf_a.clear();
+        self.buf_b.clear();
+        self.buf_a.extend(a);
+        self.buf_b.extend(b);
+        intersect_count(&self.buf_a, &self.buf_b)
     }
 }
 
@@ -426,7 +330,7 @@ fn lower_bound_gallop(list: &[VertexId], from: usize, key: VertexId) -> usize {
 /// list is located in the longer with an exponential probe from a
 /// monotone cursor, so total work is `O(s · log(l/s))` instead of the
 /// merge's `O(s + l)`.
-pub fn gallop_count(a: &[VertexId], b: &[VertexId]) -> u64 {
+fn gallop_count(a: &[VertexId], b: &[VertexId]) -> u64 {
     let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
     let mut pos = 0usize;
     let mut count = 0u64;
@@ -443,45 +347,11 @@ pub fn gallop_count(a: &[VertexId], b: &[VertexId]) -> u64 {
     count
 }
 
-/// Intersection count via the bitmap with scalar probes: mark the
-/// shorter list, test the longer one element at a time. One-shot form of
-/// the [`Kernel::Bitmap`] pinned path; `O(s + l)` with `O(1)` probes and
-/// no comparisons.
-pub fn bitmap_count(a: &[VertexId], b: &[VertexId], scratch: &mut Scratch) -> u64 {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    scratch.mark(short);
-    scratch.count_marked_scalar(long)
-}
-
-/// Bulk word-at-a-time intersection: both sorted lists meet in the
-/// packed bitmap domain — the shorter is pinned into live words, the
-/// longer is packed word-by-word into probe masks, and each touched word
-/// is resolved with one `AND` + `count_ones` over up to 64 candidates.
-/// One-shot form of the [`Kernel::WordBitmap`] pinned path.
-pub fn intersect_words(a: &[VertexId], b: &[VertexId], scratch: &mut Scratch) -> u64 {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    scratch.mark(short);
-    scratch.count_marked(long)
-}
-
-/// The merge used on the balanced side of the adaptive crossover: the
-/// vectorised kernel when the `simd` feature is enabled, the plain
-/// scalar merge otherwise (without vector units the block fallback's
-/// all-pairs compares cost more than the two-pointer walk).
-#[inline]
-fn adaptive_merge(a: &[VertexId], b: &[VertexId]) -> u64 {
-    if cfg!(feature = "simd") {
-        crate::simd::simd_merge_count(a, b)
-    } else {
-        merge_count(a, b)
-    }
-}
-
-/// The crossover selector for one pair of sorted lists (the pairwise
-/// half of [`Kernel::Adaptive`]; the vertex loops also pin — see
-/// [`vertex_triangles`]).
-#[inline]
-fn adaptive_pair(a: &[VertexId], b: &[VertexId]) -> u64 {
+/// Exact `|a ∩ b|` of two sorted slices: the pair crossover of
+/// [`Kernel::Adaptive`]. Gallops once the longer list is `GALLOP_RATIO`
+/// times the shorter; merges otherwise, through the SIMD block merge
+/// under the `simd` feature.
+pub fn intersect_count(a: &[VertexId], b: &[VertexId]) -> u64 {
     let (s, l) = if a.len() <= b.len() {
         (a.len(), b.len())
     } else {
@@ -492,36 +362,17 @@ fn adaptive_pair(a: &[VertexId], b: &[VertexId]) -> u64 {
     } else if l / s >= GALLOP_RATIO {
         gallop_count(a, b)
     } else {
-        adaptive_merge(a, b)
-    }
-}
-
-/// Exact `|a ∩ b|` of two sorted slices under the chosen kernel.
-pub fn intersect_count(
-    kernel: Kernel,
-    a: &[VertexId],
-    b: &[VertexId],
-    scratch: &mut Scratch,
-) -> u64 {
-    match kernel {
-        Kernel::Merge => merge_count(a, b),
-        Kernel::Galloping => gallop_count(a, b),
-        Kernel::Bitmap => bitmap_count(a, b, scratch),
-        Kernel::WordBitmap => intersect_words(a, b, scratch),
-        Kernel::SimdMerge => crate::simd::simd_merge_count(a, b),
-        Kernel::Adaptive => adaptive_pair(a, b),
+        crate::simd::simd_merge_count(a, b)
     }
 }
 
 /// Triangles through vertex `u` of an oriented graph:
 /// `Σ_{v ∈ N⁺(u)} |N⁺(u) ∩ N⁺(v)|`.
 ///
-/// For the bitmap kernels — and for [`Kernel::Adaptive`] above
-/// [`PIN_DEGREE`] — `N⁺(u)` is marked once and every wedge endpoint list
-/// is probed against it, turning the per-vertex cost from
-/// `Σ_v (d(u) + d(v))` into `d(u) + Σ_v d(v)` — with the probes retiring
-/// a packed word at a time everywhere except the deliberately scalar
-/// [`Kernel::Bitmap`].
+/// [`Kernel::Merge`] merges `N⁺(u)` with every `N⁺(v)`.
+/// [`Kernel::Adaptive`] marks `N⁺(u)` once and probes every wedge
+/// endpoint list against it, turning the per-vertex cost from
+/// `Σ_v (d(u) + d(v))` into `d(u) + Σ_v d(v)`.
 pub fn vertex_triangles(
     g: &DirectedGraph,
     u: VertexId,
@@ -534,51 +385,28 @@ pub fn vertex_triangles(
         // lone neighbour v cannot contain v itself (no self-loops).
         return 0;
     }
-    let pin = match kernel {
-        Kernel::Bitmap | Kernel::WordBitmap => true,
-        Kernel::Adaptive => out_u.len() >= PIN_DEGREE,
-        Kernel::Merge | Kernel::Galloping | Kernel::SimdMerge => false,
-    };
     let mut count = 0u64;
-    if pin {
-        scratch.mark(out_u);
-        match kernel {
-            Kernel::WordBitmap => {
-                for &v in out_u {
-                    count += scratch.count_marked(g.out_neighbors(v));
-                }
-            }
-            Kernel::Bitmap => {
-                for &v in out_u {
-                    count += scratch.count_marked_scalar(g.out_neighbors(v));
-                }
-            }
-            _ => {
-                // Adaptive: probing is linear in |N⁺(v)|, so a hub
-                // successor list dwarfing the pinned list is cheaper to
-                // answer by galloping the pinned list through it —
-                // |N⁺(u)|·log|N⁺(v)| — than by probing it end to end.
-                let gallop_at = out_u.len().saturating_mul(PROBE_GALLOP_RATIO);
-                for &v in out_u {
-                    let nv = g.out_neighbors(v);
-                    count += if nv.len() >= gallop_at {
-                        gallop_count(out_u, nv)
-                    } else {
-                        scratch.count_marked_fast(nv)
-                    };
-                }
+    match kernel {
+        Kernel::Merge => {
+            for &v in out_u {
+                count += merge_count(out_u, g.out_neighbors(v));
             }
         }
-    } else {
-        for &v in out_u {
-            count += match kernel {
-                Kernel::Merge => merge_count(out_u, g.out_neighbors(v)),
-                Kernel::Galloping => gallop_count(out_u, g.out_neighbors(v)),
-                Kernel::SimdMerge => crate::simd::simd_merge_count(out_u, g.out_neighbors(v)),
-                Kernel::Bitmap | Kernel::WordBitmap | Kernel::Adaptive => {
-                    adaptive_pair(out_u, g.out_neighbors(v))
-                }
-            };
+        Kernel::Adaptive => {
+            scratch.mark(out_u);
+            // Probing is linear in |N⁺(v)|, so a hub successor list
+            // dwarfing the pinned list is cheaper to answer by galloping
+            // the pinned list through it — |N⁺(u)|·log|N⁺(v)| — than by
+            // probing it end to end.
+            let gallop_at = out_u.len().saturating_mul(PROBE_GALLOP_RATIO);
+            for &v in out_u {
+                let nv = g.out_neighbors(v);
+                count += if nv.len() >= gallop_at {
+                    gallop_count(out_u, nv)
+                } else {
+                    scratch.count_marked(nv)
+                };
+            }
         }
     }
     count
@@ -804,24 +632,6 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn every_kernel_matches_merge_on_fixtures() {
-        let mut scratch = Scratch::new();
-        for (a, b) in lists() {
-            let expect = merge_count(&a, &b);
-            for kernel in Kernel::ALL {
-                assert_eq!(
-                    intersect_count(kernel, &a, &b, &mut scratch),
-                    expect,
-                    "{} on {a:?} ∩ {b:?}",
-                    kernel.name()
-                );
-                // Symmetry.
-                assert_eq!(intersect_count(kernel, &b, &a, &mut scratch), expect);
-            }
-        }
-    }
-
     /// A scratch whose bitmap already holds stale state: a dense run, a
     /// far word inside the operands' id range and one beyond it.
     fn dirty_scratch() -> Scratch {
@@ -840,15 +650,12 @@ mod tests {
         let expect = merge_count(a, b);
         for (x, y) in [(a, b), (b, a)] {
             let shape = format!("{} vs {} elements", x.len(), y.len());
-            assert_eq!(adaptive_pair(x, y), expect, "pair crossover, {shape}");
+            assert_eq!(intersect_count(x, y), expect, "pair crossover, {shape}");
             assert_eq!(gallop_count(x, y), expect, "gallop, {shape}");
-            assert_eq!(adaptive_merge(x, y), expect, "balanced merge, {shape}");
+            let merged = crate::simd::simd_merge_count(x, y);
+            assert_eq!(merged, expect, "balanced merge, {shape}");
             scratch.mark(x);
-            assert_eq!(
-                scratch.count_marked_fast(y),
-                expect,
-                "pinned probe, {shape}"
-            );
+            assert_eq!(scratch.count_marked(y), expect, "pinned probe, {shape}");
         }
     }
 
@@ -880,7 +687,7 @@ mod tests {
     }
 
     #[test]
-    fn adaptive_tiers_match_merge_on_fixtures() {
+    fn every_kernel_matches_merge_on_fixtures() {
         let mut dirty = dirty_scratch();
         for (a, b) in lists() {
             assert_tiers_match_merge(&a, &b, &mut Scratch::new());
@@ -977,28 +784,6 @@ mod tests {
         scratch.mark(&[1, 2]);
         assert!(!scratch.is_marked(1_000_000));
         assert_eq!(scratch.count_marked(&[1, 1_000_000]), 1);
-        assert_eq!(scratch.count_marked_scalar(&[1, 1_000_000]), 1);
-    }
-
-    #[test]
-    fn word_and_scalar_probes_agree_across_word_boundaries() {
-        let mut scratch = Scratch::new();
-        let marked: Vec<u32> = (0..300).step_by(3).collect();
-        scratch.mark(&marked);
-        for probe in [
-            (0u32..64).collect::<Vec<_>>(),
-            (60..70).collect(),
-            (0..300).step_by(5).collect(),
-            vec![63, 64, 127, 128, 191, 192, 255, 256],
-            vec![299],
-            vec![],
-        ] {
-            assert_eq!(
-                scratch.count_marked(&probe),
-                scratch.count_marked_scalar(&probe),
-                "probe {probe:?}"
-            );
-        }
     }
 
     #[test]
@@ -1026,21 +811,11 @@ mod tests {
         let mut scratch = Scratch::new();
         let a = [1u32, 3, 5, 7];
         let b = [2u32, 3, 5, 8];
-        for kernel in Kernel::ALL {
-            assert_eq!(
-                scratch.intersect_iters(kernel, a.iter().copied(), b.iter().copied()),
-                2
-            );
-        }
+        assert_eq!(
+            scratch.intersect_iters(a.iter().copied(), b.iter().copied()),
+            2
+        );
         assert!(scratch.approx_bytes() > 0);
-    }
-
-    #[test]
-    fn kernel_names_round_trip() {
-        for kernel in Kernel::ALL {
-            assert_eq!(Kernel::from_name(kernel.name()), Some(kernel));
-        }
-        assert_eq!(Kernel::from_name("warp9"), None);
     }
 
     #[test]

@@ -60,16 +60,6 @@ pub fn merge_collect(a: &[VertexId], b: &[VertexId], out: &mut Vec<VertexId>) ->
     count
 }
 
-/// Exact intersection size via binary search of each element of the
-/// shorter list in the longer one.
-pub fn binary_search_count(a: &[VertexId], b: &[VertexId]) -> u64 {
-    let (short, long) = if a.len() <= b.len() { (a, b) } else { (b, a) };
-    short
-        .iter()
-        .filter(|&&x| long.binary_search(&x).is_ok())
-        .count() as u64
-}
-
 /// One lane's work item for [`lockstep_multi_search`]: search `key` in the
 /// sorted `list` staged at shared-memory word offset `base`.
 #[derive(Clone, Copy, Debug)]
@@ -173,13 +163,6 @@ mod tests {
         // Accumulates rather than clears.
         merge_collect(&[5], &[5], &mut out);
         assert_eq!(out, vec![2, 3, 9, 5]);
-    }
-
-    #[test]
-    fn binary_search_count_matches_merge() {
-        let a: Vec<u32> = (0..100).step_by(3).collect();
-        let b: Vec<u32> = (0..100).step_by(5).collect();
-        assert_eq!(binary_search_count(&a, &b), merge_count(&a, &b));
     }
 
     #[test]

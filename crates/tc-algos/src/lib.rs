@@ -21,7 +21,6 @@
 //! an edge-directing scheme) and count each triangle exactly once as the
 //! directed pattern `u→v, u→w, v→w`.
 
-pub mod approx;
 pub mod bisson;
 pub mod cpu;
 pub mod engine;

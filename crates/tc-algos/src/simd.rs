@@ -1,12 +1,12 @@
-//! Chunked / vectorised sorted-set intersection ([`Kernel::SimdMerge`]
-//! and the balanced side of [`Kernel::Adaptive`]).
+//! The vectorised tiers of [`Kernel::Adaptive`]: the block merge on the
+//! balanced side of its pair crossover and the gather probe of its
+//! pinned counting loop.
 //!
-//! [`Kernel::SimdMerge`]: crate::engine::Kernel::SimdMerge
 //! [`Kernel::Adaptive`]: crate::engine::Kernel::Adaptive
 //!
 //! The scalar two-pointer merge retires **one comparison per step**; on
 //! a machine with 128/256-bit vector units most of each cache line's
-//! work is left on the table. This module processes both lists in
+//! work is left on the table. The block merge processes both lists in
 //! fixed-size blocks instead: load a block from each side, compare
 //! **all pairs** at once (the vector registers hold every rotation of
 //! one block against the other), popcount the match mask, then advance
@@ -16,19 +16,17 @@
 //! Three tiers, best available chosen at runtime:
 //!
 //! - **AVX2** (`simd` feature, `x86_64`, detected via
-//!   `is_x86_feature_detected!`): 8×8 candidate pairs per step — one
-//!   `vpcmpeqd` against each of the 8 cyclic rotations of the other
-//!   block, OR-accumulated, `movemask` + `count_ones`.
+//!   `is_x86_feature_detected!`): 8×8 candidate pairs per merge step —
+//!   one `vpcmpeqd` against each of the 8 cyclic rotations of the other
+//!   block, OR-accumulated, `movemask` + `count_ones` — and eight
+//!   bitmap probes per gather.
 //! - **SSE2** (`simd` feature, `x86_64`, always present on the 64-bit
-//!   baseline): the same dance at 4×4.
-//! - **Scalar block fallback** (all other builds — including the
-//!   default feature set, so the kernel is selectable and tested
-//!   everywhere): 4×4 all-pairs compare written as plain loops over
-//!   skip-tested blocks. The block bound checks (`a_max < b[0]`) let it
-//!   skip disjoint runs four at a time, but without vector units the
-//!   all-pairs compare does more raw work than the two-pointer walk, so
-//!   [`Kernel::Adaptive`] only routes merges here when the `simd`
-//!   feature is on.
+//!   baseline): the same merge at 4×4; probes stay scalar.
+//! - **Scalar** (all other builds, including the default feature set):
+//!   the two-pointer merge and a scalar probe loop. A scalar 4×4 block
+//!   merge once stood in for the vector tiers here, but without vector
+//!   units its all-pairs compares did more raw work than the
+//!   two-pointer walk.
 //!
 //! Operands must be strictly increasing (duplicate-free sorted sets) —
 //! the invariant every adjacency list in the workspace already holds.
@@ -36,52 +34,18 @@
 //! and the once-per-pair match accounting exact.
 //!
 //! This is the one module in the workspace allowed to use `unsafe`: the
-//! unaligned vector loads take raw pointers, and the AVX2 entry point is
-//! a `#[target_feature]` function that must only be reached behind the
-//! runtime detection check (which is how [`simd_merge_count`] calls it).
+//! unaligned vector loads take raw pointers, and the AVX2 entry points
+//! are `#[target_feature]` functions that must only be reached behind
+//! the runtime detection check (which is how `simd_merge_count` and
+//! `probe_count` call them).
 
 #![allow(unsafe_code)]
 
 use tc_graph::VertexId;
 
-/// Hints the prefetcher to pull the cache line(s) backing `list` toward
-/// L1, without reading them.
-///
-/// The pinned-vertex probe loop walks one short adjacency list (~tens
-/// of bytes) per wedge, each at an effectively random offset in the CSR
-/// adjacency array — below the hardware prefetcher's radar, so every
-/// list opens with a cache miss that the ~2-cycle probe arithmetic
-/// cannot hide. Issuing this hint for wedge *i+1* while wedge *i* is
-/// being probed overlaps that miss with useful work.
-///
-/// A prefetch is architecturally a no-op hint — it never faults and
-/// dereferences nothing — so this is safe to call with any slice,
-/// including an empty one whose pointer is dangling. On non-x86_64
-/// targets it compiles to nothing.
-#[inline]
-pub fn prefetch(list: &[VertexId]) {
-    #[cfg(target_arch = "x86_64")]
-    {
-        use std::arch::x86_64::{_mm_prefetch, _MM_HINT_T0};
-        let p = list.as_ptr().cast::<i8>();
-        // SAFETY: `_mm_prefetch` is a pure hint; it performs no memory
-        // access and is defined for arbitrary addresses.
-        unsafe {
-            _mm_prefetch::<_MM_HINT_T0>(p);
-            if list.len() > 16 {
-                // A 32-bit-element list longer than 16 can straddle a
-                // second 64-byte line; warm that one too.
-                _mm_prefetch::<_MM_HINT_T0>(p.add(64));
-            }
-        }
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = list;
-}
-
 /// Exact `|a ∩ b|` of two strictly-increasing slices via the best
-/// available chunked kernel (AVX2 → SSE2 → scalar blocks).
-pub fn simd_merge_count(a: &[VertexId], b: &[VertexId]) -> u64 {
+/// available merge tier (AVX2 → SSE2 → the scalar merge).
+pub(crate) fn simd_merge_count(a: &[VertexId], b: &[VertexId]) -> u64 {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
         if avx2_enabled() {
@@ -93,7 +57,7 @@ pub fn simd_merge_count(a: &[VertexId], b: &[VertexId]) -> u64 {
         }
     }
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
-    block_merge_count(a, b)
+    crate::intersect::merge_count(a, b)
 }
 
 /// Membership probes of a sorted candidate list against a packed
@@ -112,7 +76,7 @@ pub fn simd_merge_count(a: &[VertexId], b: &[VertexId]) -> u64 {
 /// is absent, the list is too short for the gather latency to beat a
 /// handful of scalar loads, or the largest id overruns the bitmap
 /// (every live gather lane's index must be in bounds).
-pub fn probe_count(words: &[u64], list: &[VertexId]) -> u64 {
+pub(crate) fn probe_count(words: &[u64], list: &[VertexId]) -> u64 {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
         if list.len() >= 4
@@ -130,7 +94,7 @@ pub fn probe_count(words: &[u64], list: &[VertexId]) -> u64 {
 /// The scalar membership-probe loop — the portable tier of
 /// [`probe_count`] and the reference its AVX2 tier is differentially
 /// tested against. Ids past the bitmap read as absent.
-pub fn probe_count_scalar(words: &[u64], list: &[VertexId]) -> u64 {
+fn probe_count_scalar(words: &[u64], list: &[VertexId]) -> u64 {
     list.iter()
         .map(|&v| {
             let w = (v >> 6) as usize;
@@ -139,9 +103,9 @@ pub fn probe_count_scalar(words: &[u64], list: &[VertexId]) -> u64 {
         .sum()
 }
 
-/// Name of the merge tier [`simd_merge_count`] dispatches to on this
-/// build and CPU — `"avx2"`, `"sse2"`, or `"scalar-block"`. Benchmarks
-/// record it so BENCH numbers say which kernel actually ran.
+/// Name of the tier the merge and the probe dispatch to on this build
+/// and CPU — `"avx2"`, `"sse2"`, or `"scalar"`. Benchmarks record it so
+/// BENCH numbers say which code actually ran.
 pub fn active_tier() -> &'static str {
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     {
@@ -153,7 +117,7 @@ pub fn active_tier() -> &'static str {
     }
     #[cfg(not(all(feature = "simd", target_arch = "x86_64")))]
     {
-        "scalar-block"
+        "scalar"
     }
 }
 
@@ -174,49 +138,6 @@ fn avx2_enabled() -> bool {
     }
 }
 
-/// Scalar tail: finishes a partially-consumed pair of lists with the
-/// plain two-pointer merge.
-#[inline]
-fn scalar_tail(a: &[VertexId], b: &[VertexId]) -> u64 {
-    crate::intersect::merge_count(a, b)
-}
-
-/// Scalar block merge: 4-element blocks, skip-tested on their bounds,
-/// all-pairs compared when they overlap. The portable fallback tier —
-/// also the reference the vector tiers are differentially tested
-/// against.
-pub fn block_merge_count(a: &[VertexId], b: &[VertexId]) -> u64 {
-    const B: usize = 4;
-    let mut i = 0usize;
-    let mut j = 0usize;
-    let mut count = 0u64;
-    while i + B <= a.len() && j + B <= b.len() {
-        let a_max = a[i + B - 1];
-        let b_max = b[j + B - 1];
-        if a_max < b[j] {
-            i += B;
-            continue;
-        }
-        if b_max < a[i] {
-            j += B;
-            continue;
-        }
-        for &x in &a[i..i + B] {
-            count += b[j..j + B].iter().filter(|&&y| y == x).count() as u64;
-        }
-        // Strictly-increasing operands: everything ≤ the advanced
-        // block's max has been compared against the other block, and on
-        // equal maxima both blocks are exhausted below the shared bound.
-        if a_max <= b_max {
-            i += B;
-        }
-        if b_max <= a_max {
-            j += B;
-        }
-    }
-    count + scalar_tail(&a[i..], &b[j..])
-}
-
 #[cfg(all(feature = "simd", target_arch = "x86_64"))]
 mod x86 {
     //! The SSE2 and AVX2 tiers. Every intrinsic here is either gated by
@@ -224,7 +145,7 @@ mod x86 {
     //! `#[target_feature(enable = "avx2")]` function reached only behind
     //! runtime detection.
 
-    use super::scalar_tail;
+    use crate::intersect::merge_count;
     use std::arch::x86_64::*;
     use tc_graph::VertexId;
 
@@ -259,7 +180,7 @@ mod x86 {
                 j += B;
             }
         }
-        count + scalar_tail(&a[i..], &b[j..])
+        count + merge_count(&a[i..], &b[j..])
     }
 
     /// 8×8 all-pairs block intersection on AVX2.
@@ -308,7 +229,7 @@ mod x86 {
                 }
             }
         }
-        count + scalar_tail(&a[i..], &b[j..])
+        count + merge_count(&a[i..], &b[j..])
     }
 
     /// Eight bitmap membership probes per step via `vpgatherdd` (the
@@ -420,13 +341,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn block_fallback_matches_scalar_merge() {
-        for (a, b) in fixtures() {
-            assert_eq!(block_merge_count(&a, &b), merge_count(&a, &b));
-        }
-    }
-
     #[cfg(all(feature = "simd", target_arch = "x86_64"))]
     #[test]
     fn sse2_matches_scalar_merge() {
@@ -457,7 +371,6 @@ mod tests {
         let a: Vec<u32> = vec![0, 2, 4, 7, 10, 12, 14, 15];
         let b: Vec<u32> = vec![1, 3, 5, 7, 8, 9, 13, 15];
         assert_eq!(simd_merge_count(&a, &b), merge_count(&a, &b));
-        assert_eq!(block_merge_count(&a, &b), merge_count(&a, &b));
     }
 
     /// A packed bitmap holding exactly the elements of `set`, sized to

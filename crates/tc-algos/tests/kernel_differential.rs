@@ -1,45 +1,16 @@
-//! Differential suite for the adaptive intersection engine: every
-//! kernel (merge, galloping, bitmap, word-bitmap, simd-merge, adaptive —
-//! plus the seed-era `hashed_count` baseline) must agree with the naive
-//! `node_iterator` ground truth on random, skewed, and star-shaped
-//! graphs; the packed-word and SIMD paths are additionally pinned to the
-//! scalar merge on adversarial list shapes; and a scratch reused across
-//! calls must change nothing.
+//! Differential suite for the adaptive intersection engine: both
+//! kernels (merge and adaptive — plus the seed-era `hashed_count`
+//! baseline) must agree with the naive `node_iterator` ground truth on
+//! random, skewed, and star-shaped graphs, and a scratch reused across
+//! calls must change nothing. Adaptive's private tiers are pinned to the
+//! scalar merge on adversarial list shapes by the unit tests in
+//! `engine.rs`.
 
 use proptest::prelude::*;
 use tc_algos::cpu;
-use tc_algos::engine::{self, Kernel, Scratch, ScratchPool};
-use tc_algos::intersect::merge_count;
-use tc_algos::simd;
+use tc_algos::engine::{Kernel, Scratch, ScratchPool};
 use tc_graph::generators::{erdos_renyi, power_law_configuration};
 use tc_graph::{orient_by_rank, CsrGraph, GraphBuilder};
-
-/// The adversarial list lengths: zero, singleton, and every off-by-one
-/// around the 64-bit word and the 128-element double-word boundaries the
-/// packed bitmap and the SIMD blocks care about.
-const ADVERSARIAL_LENS: [usize; 7] = [0, 1, 63, 64, 65, 127, 128];
-
-/// Strategy: a strictly-increasing `u32` list of one of the adversarial
-/// lengths, with the inter-element gap pattern chosen by the cases —
-/// dense runs (gap 1, maximal word sharing), sparse strides (every probe
-/// in its own word), and mixed random gaps.
-fn adversarial_list() -> impl Strategy<Value = Vec<u32>> {
-    (
-        0usize..ADVERSARIAL_LENS.len(),
-        0u32..128,
-        prop::collection::vec(1u32..70, 128..129),
-    )
-        .prop_map(|(len_idx, start, gaps)| {
-            let len = ADVERSARIAL_LENS[len_idx];
-            let mut v = Vec::with_capacity(len);
-            let mut x = start;
-            for &g in gaps.iter().take(len) {
-                v.push(x);
-                x = x.saturating_add(g);
-            }
-            v
-        })
-}
 
 /// Asserts every kernel (through one shared scratch) plus the hashed
 /// baseline against the node-iterator ground truth.
@@ -93,7 +64,7 @@ proptest! {
     }
 
     /// Skewed (power-law) graphs: the degree spread exercises both
-    /// sides of the gallop/merge crossover and the pin threshold.
+    /// sides of the pinned loop's probe/gallop escape.
     #[test]
     fn kernels_agree_on_skewed_graphs(
         (n, seed) in (50usize..400, 0u64..1 << 40),
@@ -112,72 +83,6 @@ proptest! {
         let g = star_with_leaf_edges(n, &edges);
         let mut scratch = Scratch::new();
         check_all_kernels(&g, &mut scratch);
-    }
-
-    /// Word-bitmap and SIMD merge pinned to the scalar merge on
-    /// adversarial list shapes (lengths straddling the word and block
-    /// boundaries, dense/sparse/mixed gaps), through both a fresh and a
-    /// warm scratch.
-    #[test]
-    fn word_and_simd_paths_match_scalar_merge(
-        (a, b) in (adversarial_list(), adversarial_list()),
-    ) {
-        let expect = merge_count(&a, &b);
-        let mut warm = Scratch::new();
-        // Dirty the scratch so stale epochs/words are in play.
-        let noise: Vec<u32> = (0..97).collect();
-        engine::intersect_words(&noise, &noise, &mut warm);
-        for scratch in [&mut Scratch::new(), &mut warm] {
-            prop_assert_eq!(
-                engine::intersect_count(Kernel::WordBitmap, &a, &b, scratch),
-                expect,
-                "word-bitmap diverged on {} vs {}",
-                a.len(),
-                b.len()
-            );
-            prop_assert_eq!(
-                engine::intersect_count(Kernel::SimdMerge, &a, &b, scratch),
-                expect
-            );
-        }
-        prop_assert_eq!(simd::simd_merge_count(&a, &b), expect);
-        prop_assert_eq!(simd::block_merge_count(&a, &b), expect);
-        // Symmetry: the kernels must not care which operand is pinned.
-        let mut scratch = Scratch::new();
-        prop_assert_eq!(
-            engine::intersect_count(Kernel::WordBitmap, &b, &a, &mut scratch),
-            expect
-        );
-        prop_assert_eq!(simd::simd_merge_count(&b, &a), expect);
-        // The pinned probe path (gather-accelerated under `simd`) and
-        // its scalar reference, probing each side against the other.
-        for (pinned, probed) in [(&a, &b), (&b, &a)] {
-            scratch.mark(pinned);
-            prop_assert_eq!(scratch.count_marked_fast(probed), expect);
-            prop_assert_eq!(scratch.count_marked_scalar(probed), expect);
-        }
-    }
-
-    /// All-overlap and no-overlap at every adversarial length pair —
-    /// enumerated exhaustively rather than sampled.
-    #[test]
-    fn word_and_simd_paths_cover_overlap_extremes(offset in 0u32..200) {
-        let mut scratch = Scratch::new();
-        for &la in &ADVERSARIAL_LENS {
-            for &lb in &ADVERSARIAL_LENS {
-                let a: Vec<u32> = (offset..offset + la as u32).collect();
-                let same: Vec<u32> = (offset..offset + lb as u32).collect();
-                let disjoint: Vec<u32> = (1000 + offset..1000 + offset + lb as u32).collect();
-                for b in [&same, &disjoint] {
-                    let expect = merge_count(&a, b);
-                    prop_assert_eq!(
-                        engine::intersect_count(Kernel::WordBitmap, &a, b, &mut scratch),
-                        expect
-                    );
-                    prop_assert_eq!(simd::simd_merge_count(&a, b), expect);
-                }
-            }
-        }
     }
 
     /// A scratch carried across many different graphs (stale stamps,

@@ -8,10 +8,10 @@
 //! fig11, fig12, fig13, fig14, fig15, fig16, ablation, algorithms,
 //! trust-grid, bench-pipeline, serve-bench, stream-bench, cpu-bench,
 //! all}. `--small` substitutes the small dataset suite for a quick smoke
-//! run; `--kernels=merge,adaptive` restricts `cpu-bench` to a kernel
-//! subset (each still count-asserted). `BENCH_cpu.json` is only
-//! rewritten by full, unfiltered `cpu-bench` runs. `--shards=1,2,4` and
-//! `--clients=N` shape `serve-bench`'s contended shard sweep.
+//! run; `BENCH_cpu.json` is only rewritten by full `cpu-bench` runs.
+//! `--shards=1,2,4` and `--clients=N` shape `serve-bench`'s contended
+//! shard sweep. Any other flag, or a malformed value, exits 2 with the
+//! usage line.
 //!
 //! Experiment grids and trace generation run on all cores by default;
 //! set `TC_PIPELINE_THREADS=1` for a fully serial harness. Each
@@ -30,8 +30,6 @@ struct Args {
     /// Experiment ids, in the order given.
     ids: Vec<String>,
     small: bool,
-    /// `--kernels=a,b,c` filter for `cpu-bench` (None = all kernels).
-    kernels: Option<String>,
     /// `--shards=1,2,4` shard counts for the `serve-bench` contended
     /// sweep (None = 1,2,4; 1,2 with `--small`).
     shards: Option<Vec<usize>>,
@@ -53,7 +51,6 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
         };
         match flag.split_once('=') {
             None if flag == "small" => parsed.small = true,
-            Some(("kernels", list)) => parsed.kernels = Some(list.to_string()),
             Some(("shards", list)) => {
                 let counts: Option<Vec<usize>> =
                     list.split(',').map(|c| c.trim().parse().ok()).collect();
@@ -80,7 +77,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
 fn usage() -> String {
     format!(
         "usage: experiments <{}|bench-pipeline|serve-bench|stream-bench|cpu-bench|all> \
-         [--small] [--kernels=a,b,c] [--shards=1,2,4] [--clients=N]",
+         [--small] [--shards=1,2,4] [--clients=N]",
         ALL.join("|")
     )
 }
@@ -219,19 +216,11 @@ impl Cli {
                 }
             }
             "cpu-bench" => {
-                let kernels = match cpu_bench::select_kernels(self.args.kernels.as_deref()) {
-                    Ok(k) => k,
-                    Err(e) => {
-                        eprintln!("{e}");
-                        return false;
-                    }
-                };
-                let reports = cpu_bench::run_filtered(self.args.small, &kernels);
+                let reports = cpu_bench::run(self.args.small);
                 println!("{}", cpu_bench::render(&reports));
-                // Only full, unfiltered sweeps overwrite the committed
-                // benchmark file; smoke runs and kernel subsets would
-                // clobber it with partial data.
-                if self.args.small || kernels.len() != cpu_bench::KERNELS.len() {
+                // Only full sweeps overwrite the committed benchmark
+                // file; smoke runs would clobber it with partial data.
+                if self.args.small {
                     eprintln!("partial cpu-bench run: BENCH_cpu.json left untouched");
                 } else {
                     let json = cpu_bench::to_json(&reports);
@@ -347,7 +336,6 @@ mod tests {
             "--shards=1, 2",
             "--clients=4",
             "cpu-bench",
-            "--kernels=merge",
         ])
         .unwrap();
         assert_eq!(
@@ -355,7 +343,6 @@ mod tests {
             Args {
                 ids: vec!["serve-bench".into(), "cpu-bench".into()],
                 small: true,
-                kernels: Some("merge".into()),
                 shards: Some(vec![1, 2]),
                 clients: Some(4),
             }
@@ -364,7 +351,7 @@ mod tests {
 
     #[test]
     fn rejects_unknown_flags() {
-        for flag in ["--smal", "--small=1", "--threads=2", "--clients", "--"] {
+        for flag in ["--smal", "--small=1", "--kernels=merge", "--clients", "--"] {
             assert!(parse(&["fig7", flag]).is_err(), "{flag} accepted");
         }
     }

@@ -1,19 +1,21 @@
-//! CPU kernel sweep: every intersection kernel × dataset × vertex
-//! ordering, timed on the oriented counting loop.
+//! CPU kernel sweep: the engine against its seed-era baselines, per
+//! dataset and vertex ordering, timed on the oriented counting loop.
 //!
-//! This makes the paper's analytic crossover (merge is compute-bound and
-//! wins on balanced short lists; search/probe strategies win when list
-//! lengths diverge) *empirically* visible on the CPU engine: for each
-//! dataset and each ordering of the preprocessing pipeline, the directed
-//! triangle count runs under the seed-era baselines (`merge`, the
-//! per-vertex `HashSet` `hashed` counter) and the engine kernels
-//! (`galloping`, `bitmap`, `adaptive`). Preprocessing happens outside
-//! every timed region; each kernel keeps one warm [`Scratch`] across its
-//! repetitions, so the timings isolate pure intersection strategy.
+//! For each dataset and each ordering of the preprocessing pipeline,
+//! the directed triangle count runs under the two seed baselines —
+//! `merge`, the two-pointer merge the engine keeps as its reference,
+//! and the per-vertex `HashSet` `hashed` counter — and under
+//! `adaptive`, the engine's size-ratio crossover with its gallop,
+//! block-merge and pinned-probe tiers. Preprocessing happens outside
+//! every timed region; each kernel keeps one warm [`Scratch`] across
+//! its repetitions, so the timings isolate pure intersection strategy.
+//! Every count is asserted against `node_iterator`.
 //!
 //! `experiments -- cpu-bench` renders the table and writes
-//! `BENCH_cpu.json` (acceptance target: adaptive ≥ 1.5× the best seed
-//! baseline on a real dataset, and never > 10% slower than it anywhere).
+//! `BENCH_cpu.json`, recording which SIMD tier ran (build with
+//! `--features tc-algos/simd` for the AVX2 tier). The acceptance
+//! target: adaptive ≥ 1.5× the best seed baseline on a real dataset,
+//! and never > 10% slower than it anywhere.
 
 use crate::fmt::Table;
 use std::time::Instant;
@@ -26,45 +28,8 @@ use tc_datasets::Dataset;
 /// untimed warm-up run.
 const REPS: usize = 5;
 
-/// The kernel column order: seed baselines first, engine kernels after
-/// (the word-bitmap and SIMD-merge tiers land between the stamp bitmap
-/// and the adaptive dispatcher that folds them in).
-pub const KERNELS: [&str; 7] = [
-    "merge",
-    "hashed",
-    "galloping",
-    "bitmap",
-    "word-bitmap",
-    "simd-merge",
-    "adaptive",
-];
-
-/// Resolves a `--kernels=a,b,c` filter against [`KERNELS`], preserving
-/// the canonical column order. `None`/empty selects everything.
-pub fn select_kernels(filter: Option<&str>) -> Result<Vec<&'static str>, String> {
-    let Some(filter) = filter.map(str::trim).filter(|f| !f.is_empty()) else {
-        return Ok(KERNELS.to_vec());
-    };
-    let mut picked = Vec::new();
-    for name in filter.split(',').map(str::trim).filter(|n| !n.is_empty()) {
-        match KERNELS.iter().find(|k| **k == name) {
-            Some(&k) if !picked.contains(&k) => picked.push(k),
-            Some(_) => {}
-            None => {
-                return Err(format!(
-                    "unknown kernel {name:?}; available: {}",
-                    KERNELS.join(", ")
-                ))
-            }
-        }
-    }
-    if picked.is_empty() {
-        return Err("kernel filter selected nothing".into());
-    }
-    // Canonical order regardless of how the filter listed them.
-    picked.sort_by_key(|k| KERNELS.iter().position(|c| c == k));
-    Ok(picked)
-}
+/// The kernel column order: the seed baselines, then the engine.
+pub const KERNELS: [&str; 3] = ["merge", "hashed", "adaptive"];
 
 /// The orderings swept (direction is fixed to the paper's A-direction).
 pub fn orderings() -> Vec<OrderingScheme> {
@@ -118,11 +83,10 @@ pub fn default_suite() -> Vec<Dataset> {
 fn time_counting(directed: &tc_graph::DirectedGraph, kernel_name: &str) -> (f64, u64) {
     let mut scratch = Scratch::new();
     let run = |scratch: &mut Scratch| match kernel_name {
+        "merge" => cpu::directed_count_with(directed, Kernel::Merge, scratch),
         "hashed" => cpu::hashed_count(directed),
-        name => {
-            let kernel = Kernel::from_name(name).expect("known kernel name");
-            cpu::directed_count_with(directed, kernel, scratch)
-        }
+        "adaptive" => cpu::directed_count_with(directed, Kernel::Adaptive, scratch),
+        other => unreachable!("unknown kernel {other}"),
     };
     let triangles = run(&mut scratch); // warm-up (and the count check)
     let mut total_us = 0f64;
@@ -135,7 +99,7 @@ fn time_counting(directed: &tc_graph::DirectedGraph, kernel_name: &str) -> (f64,
     (total_us / REPS as f64, triangles)
 }
 
-fn run_dataset(dataset: Dataset, kernels: &[&'static str]) -> CpuBenchReport {
+fn run_dataset(dataset: Dataset) -> CpuBenchReport {
     let g = tc_datasets::load(dataset);
     let mut rows = Vec::new();
     let mut triangles = None;
@@ -159,7 +123,7 @@ fn run_dataset(dataset: Dataset, kernels: &[&'static str]) -> CpuBenchReport {
         let mut merge_us = 0f64;
         let mut best_seed_us = f64::MAX;
         let mut adaptive_us = 0f64;
-        for &kernel in kernels {
+        for kernel in KERNELS {
             let (mean_us, count) = time_counting(directed, kernel);
             let expect = *triangles.get_or_insert(count);
             assert_eq!(
@@ -196,7 +160,7 @@ fn run_dataset(dataset: Dataset, kernels: &[&'static str]) -> CpuBenchReport {
                 speedup_vs_merge: 0.0, // filled below once merge is known
             });
         }
-        for row in rows.iter_mut().rev().take(kernels.len()) {
+        for row in rows.iter_mut().rev().take(KERNELS.len()) {
             row.speedup_vs_merge = if merge_us > 0.0 && row.mean_us > 0.0 {
                 merge_us / row.mean_us
             } else {
@@ -231,17 +195,12 @@ fn run_dataset(dataset: Dataset, kernels: &[&'static str]) -> CpuBenchReport {
 
 /// Runs the benchmark. `small` trims to EmailEucore (the CI smoke run).
 pub fn run(small: bool) -> Vec<CpuBenchReport> {
-    run_filtered(small, &KERNELS)
-}
-
-/// [`run`] restricted to a kernel subset (see [`select_kernels`]).
-pub fn run_filtered(small: bool, kernels: &[&'static str]) -> Vec<CpuBenchReport> {
     let suite = if small {
         vec![Dataset::EmailEucore]
     } else {
         default_suite()
     };
-    suite.into_iter().map(|d| run_dataset(d, kernels)).collect()
+    suite.into_iter().map(run_dataset).collect()
 }
 
 /// Renders the sweep as a text table.
@@ -260,7 +219,7 @@ pub fn render(reports: &[CpuBenchReport]) -> String {
     }
     let mut out = format!(
         "CPU intersection-kernel sweep (directed counting loop, mean of {REPS} runs, \
-         simd-merge tier: {})\n{}",
+         simd tier: {})\n{}",
         tc_algos::simd::active_tier(),
         t.render()
     );

@@ -6,7 +6,7 @@ use crate::compact::{CompactionJob, Compactor};
 use crate::delta::{DeltaAdjacency, Layer};
 use std::collections::HashMap;
 use std::sync::Arc;
-use tc_algos::engine::{self, Kernel, Scratch};
+use tc_algos::engine::{self, Scratch};
 use tc_core::{PreprocessResult, Preprocessor};
 use tc_graph::layered::{merge_intersection_count, LayeredNeighbors};
 use tc_graph::{csr_from_sorted_lists, CsrGraph, VertexId};
@@ -219,8 +219,6 @@ impl Clone for DynamicGraph {
     /// [`background_compaction`](DynamicGraph::background_compaction) is
     /// re-applied.
     fn clone(&self) -> Self {
-        let mut scratch = Scratch::new();
-        scratch.reserve_vertices(self.base.num_vertices());
         Self {
             base: Arc::clone(&self.base),
             delta: self.delta.clone(),
@@ -230,7 +228,7 @@ impl Clone for DynamicGraph {
             preprocessor: self.preprocessor.clone(),
             prep: self.prep.clone(),
             counters: self.counters,
-            scratch,
+            scratch: Scratch::new(),
             compactor: None,
             inflight: None,
             journal: Vec::new(),
@@ -253,10 +251,6 @@ impl DynamicGraph {
     pub fn with_initial_count(base: CsrGraph, triangles: u64) -> Self {
         let policy = CompactionPolicy::for_graph(&base);
         let num_edges = base.num_edges();
-        let mut scratch = Scratch::new();
-        // Vertex count is fixed for the stream's lifetime: one bitmap
-        // sizing here keeps every per-edge delta allocation-free.
-        scratch.reserve_vertices(base.num_vertices());
         Self {
             base: Arc::new(base),
             delta: DeltaAdjacency::new(),
@@ -266,7 +260,7 @@ impl DynamicGraph {
             preprocessor: None,
             prep: None,
             counters: StreamCounters::default(),
-            scratch,
+            scratch: Scratch::new(),
             compactor: None,
             inflight: None,
             journal: Vec::new(),
@@ -443,19 +437,13 @@ impl DynamicGraph {
     /// the base CSR slices with no staging copy; layered rows are staged
     /// into the scratch's reusable buffers first.
     fn common_neighbors_fast(&mut self, u: VertexId, v: VertexId) -> u64 {
-        let mut scratch = std::mem::take(&mut self.scratch);
         let plain_u = self.delta.adds_of(u).is_empty() && self.delta.dels_of(u).is_empty();
         let plain_v = self.delta.adds_of(v).is_empty() && self.delta.dels_of(v).is_empty();
-        let count = if plain_u && plain_v {
-            engine::intersect_count(
-                Kernel::Adaptive,
-                self.base.neighbors(u),
-                self.base.neighbors(v),
-                &mut scratch,
-            )
-        } else {
-            scratch.intersect_iters(Kernel::Adaptive, self.neighbors(u), self.neighbors(v))
-        };
+        if plain_u && plain_v {
+            return engine::intersect_count(self.base.neighbors(u), self.base.neighbors(v));
+        }
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let count = scratch.intersect_iters(self.neighbors(u), self.neighbors(v));
         self.scratch = scratch;
         count
     }
@@ -781,8 +769,6 @@ impl DynamicGraph {
                 snap.dels.len()
             ));
         }
-        let mut scratch = Scratch::new();
-        scratch.reserve_vertices(snap.base.num_vertices());
         Ok(Self {
             base: Arc::new(snap.base),
             delta,
@@ -792,7 +778,7 @@ impl DynamicGraph {
             preprocessor: None,
             prep: None,
             counters: snap.counters,
-            scratch,
+            scratch: Scratch::new(),
             compactor: None,
             inflight: None,
             journal: Vec::new(),
