@@ -6,9 +6,9 @@
 //!
 //! `<id>` ∈ {table2, table3, table5, table6, fig7, fig8, fig9, fig10,
 //! fig11, fig12, fig13, fig14, fig15, fig16, ablation, algorithms,
-//! trust-grid, bench-pipeline, serve-bench, stream-bench, cpu-bench,
-//! all}. `--small` substitutes the small dataset suite for a quick smoke
-//! run; `BENCH_cpu.json` is only rewritten by full `cpu-bench` runs.
+//! trust-grid, serve-bench, stream-bench, cpu-bench, all}. `--small`
+//! substitutes the small dataset suite for a quick smoke run;
+//! `BENCH_cpu.json` is only rewritten by full `cpu-bench` runs.
 //! `--shards=1,2,4` and `--clients=N` shape `serve-bench`'s contended
 //! shard sweep. Any other flag, or a malformed value, exits 2 with the
 //! usage line.
@@ -16,12 +16,10 @@
 //! Experiment grids and trace generation run on all cores by default;
 //! set `TC_PIPELINE_THREADS=1` for a fully serial harness. Each
 //! experiment's end-to-end wall-clock is reported on stderr.
-//! `bench-pipeline` measures the serial-vs-parallel harness speedup and
-//! writes `BENCH_pipeline.json`.
 
 use std::time::Instant;
 use tc_bench::experiments::*;
-use tc_bench::{cpu_bench, pipeline_bench, serve_bench, stream_bench, ExperimentEnv};
+use tc_bench::{cpu_bench, serve_bench, stream_bench, ExperimentEnv};
 use tc_datasets::Dataset;
 
 /// The parsed command line.
@@ -76,7 +74,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
 
 fn usage() -> String {
     format!(
-        "usage: experiments <{}|bench-pipeline|serve-bench|stream-bench|cpu-bench|all> \
+        "usage: experiments <{}|serve-bench|stream-bench|cpu-bench|all> \
          [--small] [--shards=1,2,4] [--clients=N]",
         ALL.join("|")
     )
@@ -182,18 +180,6 @@ impl Cli {
                 let cells =
                     trust_grid::run_on(&self.env, &self.suite_or(trust_grid::default_suite()));
                 println!("{}", trust_grid::render(&cells));
-            }
-            "bench-pipeline" => {
-                let timings = pipeline_bench::run(self.args.small);
-                println!("{}", pipeline_bench::render(&timings));
-                let json = pipeline_bench::to_json(&timings);
-                match std::fs::write("BENCH_pipeline.json", &json) {
-                    Ok(()) => eprintln!("wrote BENCH_pipeline.json"),
-                    Err(e) => {
-                        eprintln!("could not write BENCH_pipeline.json: {e}");
-                        return false;
-                    }
-                }
             }
             "serve-bench" => {
                 let rows = serve_bench::run(self.args.small);

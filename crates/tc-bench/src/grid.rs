@@ -13,8 +13,7 @@
 //! pipeline — [`tc_gpusim::pipeline::configured_threads`], i.e. the
 //! `TC_PIPELINE_THREADS` environment variable or all available cores —
 //! so `set_thread_override(Some(1))` flips the *entire* harness (grid and
-//! pipeline) to serial, which is how `bench-pipeline` measures the
-//! speedup.
+//! pipeline) to serial.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -12,7 +12,6 @@ pub mod cpu_bench;
 pub mod experiments;
 pub mod fmt;
 pub mod grid;
-pub mod pipeline_bench;
 pub mod runner;
 pub mod serve_bench;
 pub mod stream_bench;
