@@ -318,9 +318,6 @@ pub struct GraphRegistry {
     /// Durable home for entry snapshots and the update WAL; `None`
     /// keeps the registry purely in-memory (the historical behavior).
     persist: Option<Arc<Store>>,
-    /// Whether new streams run delta compaction on a background worker
-    /// (default) or inline on the applying thread.
-    background_compaction: bool,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
@@ -351,7 +348,6 @@ impl GraphRegistry {
             params,
             inner: Mutex::new(Inner::default()),
             persist,
-            background_compaction: true,
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
@@ -360,21 +356,6 @@ impl GraphRegistry {
             analytics_builds: AtomicU64::new(0),
             analytics_batches: AtomicU64::new(0),
             analytics_reads: AtomicU64::new(0),
-        }
-    }
-
-    /// Chooses whether streams created from here on compact their deltas
-    /// on a background worker (`true`, the default) or inline.
-    pub fn with_background_compaction(mut self, enabled: bool) -> Self {
-        self.background_compaction = enabled;
-        self
-    }
-
-    fn attach_compactor(&self, graph: DynamicGraph) -> DynamicGraph {
-        if self.background_compaction {
-            graph.background_compaction()
-        } else {
-            graph
         }
     }
 
@@ -394,7 +375,7 @@ impl GraphRegistry {
             inner.streams.insert(
                 rs.dataset,
                 Arc::new(Mutex::new(StreamState::new(
-                    self.attach_compactor(rs.graph),
+                    rs.graph.background_compaction(),
                     None,
                     rs.applied_seq,
                 ))),
@@ -899,7 +880,7 @@ impl GraphRegistry {
         // both build; `or_insert` keeps one, and both are identical
         // because the seed graph is.
         let base = self.graph(dataset);
-        let graph = self.attach_compactor(DynamicGraph::new((*base).clone()));
+        let graph = DynamicGraph::new((*base).clone()).background_compaction();
         let state = Arc::new(Mutex::new(StreamState::new(graph, Some(base), 0)));
         let mut inner = self.inner.lock().expect("registry lock");
         Arc::clone(inner.streams.entry(dataset).or_insert(state))

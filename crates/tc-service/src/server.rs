@@ -96,9 +96,6 @@ pub struct ServerConfig {
     /// Auto-snapshot a stream after this many logged update batches
     /// (only meaningful with `persist_dir`).
     pub snapshot_every_batches: u64,
-    /// Whether streamed datasets compact their deltas on a background
-    /// worker thread (default) instead of inline on the applying batch.
-    pub background_compaction: bool,
 }
 
 impl Default for ServerConfig {
@@ -115,7 +112,6 @@ impl Default for ServerConfig {
             gpu: GpuConfig::titan_xp_like(),
             persist_dir: None,
             snapshot_every_batches: 32,
-            background_compaction: true,
         }
     }
 }
@@ -359,10 +355,11 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let mut shards = Vec::with_capacity(shard_count);
     for (shard, recovered_part) in per_shard_recovered.iter_mut().enumerate() {
         let budget = budget_base + usize::from(shard < budget_extra);
-        let registry = Arc::new(
-            GraphRegistry::with_persistence(budget, params.clone(), store.clone())
-                .with_background_compaction(config.background_compaction),
-        );
+        let registry = Arc::new(GraphRegistry::with_persistence(
+            budget,
+            params.clone(),
+            store.clone(),
+        ));
         if let Some(rec) = recovered_part.take() {
             registry.install_recovered(rec);
         }
