@@ -20,7 +20,7 @@ echo "==> tier-1: cargo build --release && cargo test -q (every workspace crate,
 cargo build --release
 cargo test -q
 
-echo "==> tier-1 again under --features simd (SSE2/AVX2 merge tiers live)"
+echo "==> tier-1 again under --features simd (SSE2/AVX2 block merge and AVX2 gather probe live)"
 cargo build --release -p tc-algos --features simd
 cargo test -q -p tc-algos --features simd
 
@@ -42,8 +42,11 @@ cargo run --release -q -p tc-bench --bin experiments -- serve-bench --small --sh
 echo "==> stream smoke test (incremental vs recompute, small suite)"
 cargo run --release -q -p tc-bench --bin experiments -- stream-bench --small
 
-echo "==> cpu kernel smoke test (every kernel x ordering, small suite)"
+echo "==> cpu-bench smoke test (merge, hashed and adaptive x every ordering, counts asserted against node_iterator, small suite)"
 cargo run --release -q -p tc-bench --bin experiments -- cpu-bench --small
+
+echo "==> cpu-bench smoke test under --features tc-algos/simd (AVX2 merge and gather probe inside the counting loop)"
+cargo run --release -q -p tc-bench --bin experiments --features tc-algos/simd -- cpu-bench --small
 
 echo "==> tcbench unit tests (its own package, outside the workspace tier-1 covers)"
 cargo test -q --offline --manifest-path tcbench/Cargo.toml
