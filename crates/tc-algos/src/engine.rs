@@ -23,15 +23,16 @@
 //!     feature (runtime-detected), with the scalar merge without it.
 //!   - The counting loops pin every vertex that can close a triangle:
 //!     its out-list goes into the bitmap below once, and each wedge's
-//!     list is probed against it ([`Scratch::count_marked`]: the AVX2
+//!     list is probed against it (`Scratch::count_marked`: the AVX2
 //!     eight-wide gather under the `simd` feature, a scalar loop
 //!     otherwise).
 //!   - A probe list `PROBE_GALLOP_RATIO` times longer than the pinned
 //!     list gallops the pinned list through it instead.
 //!
-//! `cpu-bench` once also swept a gallop-only kernel, a scalar-probe
-//! bitmap, a word-`AND` bitmap probe and a stand-alone SIMD merge. None
-//! won a cell, so they were cut (DESIGN.md §3.10 keeps their numbers).
+//! Fixed gallop-only, scalar-probe bitmap, word-`AND` bitmap and
+//! stand-alone SIMD-merge kernels never won a `cpu-bench` cell against
+//! Adaptive (DESIGN.md §3.10 has the numbers), so no other kernel is
+//! public.
 //!
 //! ## The packed bitmap
 //!
@@ -101,7 +102,7 @@ pub enum Kernel {
 }
 
 impl Kernel {
-    /// Both kernels, in benchmark-sweep order.
+    /// Both kernels.
     pub const ALL: [Kernel; 2] = [Kernel::Merge, Kernel::Adaptive];
 
     /// Stable display name.
@@ -213,7 +214,7 @@ impl Scratch {
     /// then sets one bit per element — `O(|previous| + |list|)` however
     /// large the bitmap has grown, and it restores the all-zero-at-rest
     /// invariant that lets every probe skip validity checks.
-    pub fn mark(&mut self, list: &[VertexId]) {
+    pub(crate) fn mark(&mut self, list: &[VertexId]) {
         for w in self.touched.drain(..) {
             self.words[w as usize] = 0;
         }
@@ -229,13 +230,6 @@ impl Scratch {
             }
             self.words[w] |= bit;
         }
-    }
-
-    /// Whether `v` is in the marked set.
-    #[inline]
-    pub fn is_marked(&self, v: VertexId) -> bool {
-        let word = self.words.get((v >> WORD_SHIFT) as usize);
-        word.is_some_and(|&w| w >> (v & WORD_MASK) & 1 == 1)
     }
 
     /// Drops the tail of a sorted probe list that lies past the largest
@@ -261,7 +255,7 @@ impl Scratch {
     /// when the `simd` feature is on and the CPU has it, a scalar loop
     /// that sums the membership bits otherwise. Ids beyond the bitmap
     /// read as absent.
-    pub fn count_marked(&self, list: &[VertexId]) -> u64 {
+    pub(crate) fn count_marked(&self, list: &[VertexId]) -> u64 {
         crate::simd::probe_count(&self.words, self.clip(list))
     }
 
@@ -758,9 +752,13 @@ mod tests {
         scratch.mark(&[2]);
         // Every word outside the current touched set must be literally
         // zero — the invariant that lets probes skip validity checks.
-        assert!(scratch.is_marked(2));
+        assert_eq!(scratch.count_marked(&[2]), 1);
         for stale in [1u32, 3, 640, 700] {
-            assert!(!scratch.is_marked(stale), "stale mark {stale} leaked");
+            assert_eq!(
+                scratch.count_marked(&[stale]),
+                0,
+                "stale mark {stale} leaked"
+            );
         }
         let live: Vec<u64> = scratch.words.to_vec();
         assert_eq!(live.iter().filter(|&&w| w != 0).count(), 1);
@@ -775,14 +773,14 @@ mod tests {
         assert_eq!(scratch.count_marked(&[1, 5, 9]), 3);
         scratch.mark(&[2]);
         assert_eq!(scratch.count_marked(&[1, 5, 9]), 0);
-        assert!(scratch.is_marked(2));
+        assert_eq!(scratch.count_marked(&[2]), 1);
     }
 
     #[test]
     fn probe_beyond_bitmap_range_is_absent() {
         let mut scratch = Scratch::new();
         scratch.mark(&[1, 2]);
-        assert!(!scratch.is_marked(1_000_000));
+        assert_eq!(scratch.count_marked(&[1_000_000]), 0);
         assert_eq!(scratch.count_marked(&[1, 1_000_000]), 1);
     }
 
@@ -872,7 +870,7 @@ mod tests {
             s.mark(&[1, 2]);
             with_thread_scratch(|inner| {
                 inner.mark(&[3]);
-                inner.is_marked(3)
+                inner.count_marked(&[3]) == 1
             })
         });
         assert!(outer);

@@ -23,10 +23,9 @@
 //! - **SSE2** (`simd` feature, `x86_64`, always present on the 64-bit
 //!   baseline): the same merge at 4×4; probes stay scalar.
 //! - **Scalar** (all other builds, including the default feature set):
-//!   the two-pointer merge and a scalar probe loop. A scalar 4×4 block
-//!   merge once stood in for the vector tiers here, but without vector
-//!   units its all-pairs compares did more raw work than the
-//!   two-pointer walk.
+//!   the two-pointer merge and a scalar probe loop. Without vector units
+//!   an all-pairs block compare does more raw work than the two-pointer
+//!   walk, so scalar builds have no block merge.
 //!
 //! Operands must be strictly increasing (duplicate-free sorted sets) —
 //! the invariant every adjacency list in the workspace already holds.

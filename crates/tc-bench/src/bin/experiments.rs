@@ -53,9 +53,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
                 let counts: Option<Vec<usize>> =
                     list.split(',').map(|c| c.trim().parse().ok()).collect();
                 match counts {
-                    Some(c) if !c.is_empty() && c.iter().all(|&n| n >= 1) => {
-                        parsed.shards = Some(c)
-                    }
+                    Some(c) if c.iter().all(|&n| n >= 1) => parsed.shards = Some(c),
                     _ => return Err("--shards wants a comma-separated list of counts >= 1".into()),
                 }
             }
