@@ -59,7 +59,6 @@
 //! mid-count.
 
 use crate::intersect::merge_count;
-use std::sync::Mutex;
 use tc_graph::{DirectedGraph, VertexId};
 
 /// Length ratio past which galloping search beats the linear merge.
@@ -130,8 +129,8 @@ const WORD_MASK: u32 = 63;
 ///
 /// Everything inside is a pure cache — dropping or swapping a `Scratch`
 /// never changes any count — and every buffer grows monotonically, so a
-/// long-lived scratch (thread-local, pooled, or owned by a
-/// `DynamicGraph`) makes the counting loops allocation-free.
+/// long-lived scratch (thread-local or owned by a `DynamicGraph`) makes
+/// the counting loops allocation-free.
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// Packed membership bitmap; bit `v & 63` of `words[v >> 6]` is set
@@ -505,96 +504,6 @@ pub fn with_thread_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
     })
 }
 
-/// A checkout/return pool of [`Scratch`] instances for worker crowds
-/// whose thread identities are unstable or whose working memory should
-/// be bounded and observable (the `tc-service` executor).
-#[derive(Debug, Default)]
-pub struct ScratchPool {
-    pool: Mutex<Vec<Scratch>>,
-}
-
-impl ScratchPool {
-    /// An empty pool.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Checks out a scratch (reusing a warm one when available); it
-    /// returns to the pool when the guard drops.
-    pub fn checkout(&self) -> PooledScratch<'_> {
-        let scratch = self
-            .pool
-            .lock()
-            .expect("scratch pool lock")
-            .pop()
-            .unwrap_or_default();
-        PooledScratch {
-            pool: self,
-            scratch: Some(scratch),
-        }
-    }
-
-    /// Checks out a scratch with its bitmap pre-sized for a graph of `n`
-    /// vertices, so the request that uses it never grows it mid-count.
-    pub fn checkout_for(&self, n: usize) -> PooledScratch<'_> {
-        let mut guard = self.checkout();
-        guard.reserve_vertices(n);
-        guard
-    }
-
-    /// Number of idle pooled instances.
-    pub fn idle(&self) -> usize {
-        self.pool.lock().expect("scratch pool lock").len()
-    }
-
-    /// Total resident bytes across idle instances.
-    pub fn idle_bytes(&self) -> usize {
-        self.pool
-            .lock()
-            .expect("scratch pool lock")
-            .iter()
-            .map(Scratch::approx_bytes)
-            .sum()
-    }
-}
-
-/// RAII guard for a pooled [`Scratch`]; derefs to the scratch and
-/// returns it (warm) on drop.
-pub struct PooledScratch<'a> {
-    pool: &'a ScratchPool,
-    scratch: Option<Scratch>,
-}
-
-impl std::ops::Deref for PooledScratch<'_> {
-    type Target = Scratch;
-    fn deref(&self) -> &Scratch {
-        self.scratch.as_ref().expect("scratch present until drop")
-    }
-}
-
-impl std::ops::DerefMut for PooledScratch<'_> {
-    fn deref_mut(&mut self) -> &mut Scratch {
-        self.scratch.as_mut().expect("scratch present until drop")
-    }
-}
-
-impl Drop for PooledScratch<'_> {
-    fn drop(&mut self) {
-        if let Some(scratch) = self.scratch.take() {
-            self.pool.lock_pool_push(scratch);
-        }
-    }
-}
-
-impl ScratchPool {
-    fn lock_pool_push(&self, scratch: Scratch) {
-        // A poisoned pool just drops the scratch — it is a pure cache.
-        if let Ok(mut pool) = self.pool.lock() {
-            pool.push(scratch);
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -814,31 +723,6 @@ mod tests {
             2
         );
         assert!(scratch.approx_bytes() > 0);
-    }
-
-    #[test]
-    fn pool_reuses_warm_scratch() {
-        let pool = ScratchPool::new();
-        {
-            let mut s = pool.checkout();
-            s.mark(&[0, 1, 2, 3, 4, 5, 6, 7]);
-        }
-        assert_eq!(pool.idle(), 1);
-        let warm_bytes = pool.idle_bytes();
-        assert!(warm_bytes > 0);
-        {
-            let s = pool.checkout();
-            assert_eq!(pool.idle(), 0);
-            assert!(s.approx_bytes() >= warm_bytes, "checkout must reuse");
-        }
-        assert_eq!(pool.idle(), 1);
-    }
-
-    #[test]
-    fn checkout_for_pre_sizes() {
-        let pool = ScratchPool::new();
-        let s = pool.checkout_for(5000);
-        assert!(s.stamp_capacity() >= 5000);
     }
 
     #[test]

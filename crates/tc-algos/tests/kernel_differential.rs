@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use tc_algos::cpu;
-use tc_algos::engine::{Kernel, Scratch, ScratchPool};
+use tc_algos::engine::{Kernel, Scratch};
 use tc_graph::generators::{erdos_renyi, power_law_configuration};
 use tc_graph::{orient_by_rank, CsrGraph, GraphBuilder};
 
@@ -111,22 +111,6 @@ proptest! {
             }
         }
     }
-}
-
-#[test]
-fn pooled_scratch_counts_like_fresh() {
-    let pool = ScratchPool::new();
-    let g = power_law_configuration(300, 2.1, 8.0, 7);
-    let expect = cpu::node_iterator(&g);
-    // Two checkouts in sequence: the second reuses the warm scratch.
-    for _ in 0..2 {
-        let mut scratch = pool.checkout();
-        assert_eq!(
-            cpu::forward_with(&g, Kernel::Adaptive, &mut scratch),
-            expect
-        );
-    }
-    assert_eq!(pool.idle(), 1);
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Query execution: the per-shard [`Executor`] turns a validated
-//! [`Request`] into a response payload against that shard's registry /
-//! scratch / subscription state, and the [`Engine`] above it routes
+//! [`Request`] into a response payload against that shard's registry and
+//! subscription state, and the [`Engine`] above it routes
 //! requests to their owning shard and fans admin ops out across all of
 //! them.
 //!
@@ -20,7 +20,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
-use tc_algos::engine::ScratchPool;
+use tc_algos::engine::{with_thread_scratch, Scratch};
 use tc_algos::{
     bisson::Bisson, fox::Fox, gunrock::Gunrock, hu::HuFineGrained, polak::Polak, tricore::TriCore,
     GpuTriangleCounter, RunResult,
@@ -59,12 +59,6 @@ pub struct Executor {
     pub registry: Arc<GraphRegistry>,
     /// This shard's metrics (aggregated by the engine's `stats`).
     pub metrics: Arc<ServiceMetrics>,
-    /// This shard's pool of warm intersection scratches: each
-    /// triangle-heavy query (ktruss, clustering, recommend) checks one
-    /// out for its duration, so repeated warm queries do zero
-    /// intersection-path heap allocation — and since the pool is
-    /// per-shard, checkout never contends with another shard's workers.
-    pub scratch: Arc<ScratchPool>,
     /// Subscriptions on datasets this shard owns (ids are engine-unique
     /// via the shared counter).
     pub subs: Arc<SubscriptionRegistry>,
@@ -129,6 +123,17 @@ fn analytics_members(info: &crate::registry::AnalyticsInfo, subscriptions: usize
         ("approx_bytes".into(), u(info.approx_bytes as u64)),
         ("subscriptions".into(), u(subscriptions as u64)),
     ]
+}
+
+/// Runs `f` on the worker thread's long-lived scratch, sized for `n`
+/// vertices up front, so repeated warm queries (ktruss, clustering,
+/// recommend) do no intersection-path heap allocation. The same scratch
+/// serves the thread's counts and analytics builds.
+fn with_scratch_for<R>(n: usize, f: impl FnOnce(&mut Scratch) -> R) -> R {
+    with_thread_scratch(|scratch| {
+        scratch.reserve_vertices(n);
+        f(scratch)
+    })
 }
 
 /// The `"current"` member a `subscribe` response seeds the client with.
@@ -214,17 +219,17 @@ impl Executor {
                 // leaving only the deterministic peel. The
                 // differential suite pins this bit-identical to the full
                 // decomposition below.
-                let trussness = if self.registry.has_stream(*dataset) {
-                    self.registry.ensure_analytics(*dataset);
-                    let (g, supports) = self
-                        .registry
-                        .analytics_supports(*dataset)
-                        .expect("analytics ensured above");
-                    tc_apps::ktruss_from_supports(&g, supports)
-                } else {
-                    let g = self.registry.graph(*dataset);
-                    let mut scratch = self.scratch.checkout_for(g.num_vertices());
-                    tc_apps::ktruss_decomposition_with(&g, &mut scratch)
+                let supports = self
+                    .registry
+                    .with_analytics(*dataset, |a, g| a.supports_in_edge_order(g));
+                let trussness = match supports {
+                    Some((g, supports)) => tc_apps::ktruss_from_supports(&g, supports),
+                    None => {
+                        let g = self.registry.graph(*dataset);
+                        with_scratch_for(g.num_vertices(), |scratch| {
+                            tc_apps::ktruss_decomposition_with(&g, scratch)
+                        })
+                    }
                 };
                 // Deterministic summary: edges per truss level, ascending.
                 let mut levels: BTreeMap<u32, u64> = BTreeMap::new();
@@ -248,16 +253,18 @@ impl Executor {
                 // intersections at all, pinned bit-identical to the
                 // full recompute by the differential suite; static ones
                 // count once.
-                let (g, counts) = if self.registry.has_stream(*dataset) {
-                    self.registry.ensure_analytics(*dataset);
-                    self.registry
-                        .analytics_local_counts(*dataset)
-                        .expect("analytics ensured above")
-                } else {
-                    let g = self.registry.graph(*dataset);
-                    let mut scratch = self.scratch.checkout_for(g.num_vertices());
-                    let counts = tc_apps::triangles_per_vertex_with(&g, &mut scratch);
-                    (g, counts)
+                let maintained = self
+                    .registry
+                    .with_analytics(*dataset, |a, _| a.local_counts().to_vec());
+                let (g, counts) = match maintained {
+                    Some(maintained) => maintained,
+                    None => {
+                        let g = self.registry.graph(*dataset);
+                        let counts = with_scratch_for(g.num_vertices(), |scratch| {
+                            tc_apps::triangles_per_vertex_with(&g, scratch)
+                        });
+                        (g, counts)
+                    }
                 };
                 let local = tc_apps::coefficients_from_counts(&g, &counts);
                 let global = tc_apps::global_from_counts(&g, &counts);
@@ -284,8 +291,9 @@ impl Executor {
                         ),
                     ));
                 }
-                let mut scratch = self.scratch.checkout_for(g.num_vertices());
-                let scores = tc_apps::recommend_for_with(&g, *source, *k, &mut scratch);
+                let scores = with_scratch_for(g.num_vertices(), |scratch| {
+                    tc_apps::recommend_for_with(&g, *source, *k, scratch)
+                });
                 let rows: Vec<Json> = scores
                     .iter()
                     .map(|r| {
@@ -321,9 +329,9 @@ impl Executor {
                 Ok(vec![("evicted".into(), u(evicted as u64))])
             }
             Request::Update { dataset, ops } => {
-                // Evaluate the dataset's watchers around the apply (under
-                // the stream lock — exact, race-free), then push one
-                // frame per tripped subscription onto its connection.
+                // Evaluate the dataset's watchers around the apply (with
+                // the dataset held alone — exact, race-free), then push
+                // one frame per tripped subscription onto its connection.
                 let watchers = self.subs.watchers(*dataset);
                 let (r, fired) = self
                     .registry
@@ -410,16 +418,11 @@ impl Executor {
                         format!("vertex {vertex} out of range (dataset has {n} vertices)"),
                     ));
                 }
-                // Subscriptions ride the delta layer: materialise the
-                // stream (if this dataset was never mutated) and its
-                // analytics state so the first watched batch has a
-                // before-value to evaluate against.
-                self.registry.ensure_stream(*dataset);
-                self.registry.ensure_analytics(*dataset);
-                let current = self
-                    .registry
-                    .observe_predicate(*dataset, predicate)
-                    .expect("analytics ensured above");
+                // Subscriptions ride the delta layer: create the stream
+                // (if this dataset was never mutated) and its analytics
+                // state so the first watched batch has a before-value to
+                // evaluate against.
+                let current = self.registry.watch(*dataset, predicate);
                 let sub = self.subs.subscribe(ctx, *dataset, *predicate);
                 Ok(vec![
                     ("dataset".into(), s(dataset.name())),
@@ -731,13 +734,6 @@ impl Engine {
                             ("streams", u(reg.streams as u64)),
                         ]),
                     ),
-                    (
-                        "scratch",
-                        obj(vec![
-                            ("idle", u(ex.scratch.idle() as u64)),
-                            ("idle_bytes", u(ex.scratch.idle_bytes() as u64)),
-                        ]),
-                    ),
                     ("subscriptions", u(ex.subs.active() as u64)),
                 ])
             })
@@ -905,7 +901,6 @@ mod tests {
                 ModelParams::default_analytic(),
             )),
             metrics: Arc::new(ServiceMetrics::default()),
-            scratch: Arc::new(ScratchPool::new()),
             subs: Arc::new(SubscriptionRegistry::new()),
         }
     }
@@ -1103,9 +1098,8 @@ mod tests {
             panic!("stats must carry a per-shard array");
         };
         assert_eq!(shard_rows.len(), 2);
-        // The global scratch_pool surface is gone; scratch is per-shard.
+        // Workers use their thread's scratch; no scratch surface remains.
         assert!(get(&stats, "scratch_pool").is_none());
-        assert!(shard_rows[0].get("scratch").is_some());
 
         // evict-all fans out across every shard.
         let evicted = en

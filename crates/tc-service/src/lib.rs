@@ -7,11 +7,13 @@
 //!
 //! The engine is **shard-per-core**: datasets are partitioned across N
 //! shards by a stable hash of the dataset name, and each shard owns its
-//! registry slice, worker threads, bounded queue, subscriptions, and
-//! scratch pool outright — the same shared-nothing partitioning TRUST
-//! applies across GPUs, here applied across cores so no query ever
-//! takes a cross-shard lock (`ServerConfig::shards`; defaults to
-//! `available_parallelism`).
+//! registry slice, worker threads, bounded queue, and subscriptions
+//! outright — the same shared-nothing partitioning TRUST applies across
+//! GPUs, here applied across cores so no query ever takes a cross-shard
+//! lock (`ServerConfig::shards`; defaults to `available_parallelism`).
+//! Within a shard, each dataset's requests take effect in admission
+//! order: an `update` or `subscribe` runs alone, while the reads between
+//! two writes run side by side (see [`protocol`]).
 //!
 //! Subsystems:
 //!
@@ -22,8 +24,9 @@
 //!   instance per shard; [`registry::shard_of`] names the owner.
 //! - [`server`] — acceptor + pipelined connection threads + per-shard
 //!   bounded job queues with admission control (overload ⇒ structured
-//!   error, never unbounded latency) + per-shard worker pools +
-//!   graceful drain across every shard.
+//!   error, never unbounded latency) that hand out each dataset's jobs
+//!   in admission order + per-shard worker pools + graceful drain
+//!   across every shard.
 //! - [`protocol`] — the wire format: query ops `count`, `simulate`,
 //!   `ktruss`, `clustering`, `recommend`; mutation op `update`;
 //!   subscription ops `subscribe`, `unsubscribe`; admin ops `load`,

@@ -18,6 +18,15 @@
 //! wall-clock latency), which is what makes the concurrent-vs-serial
 //! byte-identical acceptance test possible; timing lives in the `stats`
 //! surface instead.
+//!
+//! Requests for one dataset take effect in the order the server admits
+//! them, across every connection: a request that writes a dataset
+//! ([`Request::mutates`]: `update`, `subscribe`) applies after every
+//! request for that dataset admitted before it and before every one
+//! admitted after it. So a pipelined `count` behind an `update` of its
+//! dataset answers for the updated graph, and pipelined batches apply in
+//! the order they were sent. Reads between two writes may run at the
+//! same time; requests for different datasets carry no mutual order.
 
 use crate::json::{self, Json};
 use tc_analytics::{Notification, Predicate};
@@ -277,6 +286,16 @@ impl Request {
             | Request::AnalyticsStats(None)
             | Request::Shutdown => None,
         }
+    }
+
+    /// Whether this request writes its [`dataset`](Self::dataset)'s
+    /// state: an `update`, or a `subscribe`, which creates the stream
+    /// and analytics its predicate watches. The shard queue runs such a
+    /// request alone, after every earlier request for the dataset and
+    /// before every later one; the requests between two writes are reads
+    /// and may run at the same time.
+    pub fn mutates(&self) -> bool {
+        matches!(self, Request::Update { .. } | Request::Subscribe { .. })
     }
 }
 

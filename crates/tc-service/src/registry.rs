@@ -1,47 +1,42 @@
 //! The preprocessed-graph registry: the cache that amortises the paper's
 //! A-direction/A-order preprocessing across queries.
 //!
-//! Two layers:
+//! Each dataset has one slot in a table fixed at construction. It holds
+//! the dataset's current graph — the raw stand-in, cached unbudgeted
+//! (stand-ins are modest and every query kind needs one) — and, once an
+//! `update` or `subscribe` touched the dataset, its stream: a
+//! [`tc_stream::DynamicGraph`] with its WAL cursor, snapshot cadence,
+//! batch latency and maintained analytics. From then on the current
+//! graph is the stream's materialised view, and every `update` drops the
+//! dataset's cached variants ([`RegistryStats::invalidations`]).
 //!
-//! - **Raw stand-ins** (`Dataset` → [`CsrGraph`]): generator outputs,
-//!   cached unbudgeted — they are modest and every query kind needs one.
-//! - **Preprocessed variants** ([`PrepTarget`] → [`PreprocessResult`]):
-//!   keyed by `(dataset, direction scheme, ordering scheme, bucket
-//!   size)`, charged against a byte budget (via
-//!   [`PreprocessResult::approx_bytes`]: the oriented CSR and the
-//!   permutation) and evicted least-recently-used.
-//!   The first query for a key pays the full direction + ordering +
-//!   rebuild cost; later queries hit the cache. Each entry also memoises
-//!   pure derived results ([`CachedPrep::triangles`]), so a repeated
-//!   `count` query is a lookup, not a recount. `BENCH_service.json`
-//!   quantifies the difference.
+//! A slot sits behind an `RwLock`: a query holds it shared while it reads
+//! the dataset, an `update` or `subscribe` holds it exclusively. The
+//! shard queue already runs each write alone and in admission order (see
+//! [`crate::server`]), so on the serving path the lock is never
+//! contended; it keeps direct callers correct too. As no write lands
+//! while a read holds its dataset, a variant a read computes is current
+//! when it is admitted.
 //!
-//! Concurrent misses on the *same* key are deduplicated: the first
-//! requester computes while later ones block on a shared [`OnceLock`]
-//! cell, so an expensive preprocessing run never executes twice
-//! concurrently. Misses on *different* keys proceed in parallel (the
-//! compute happens outside the registry lock). An entry larger than the
-//! whole budget is returned but never admitted — a zero budget therefore
-//! turns the registry into a deliberate cache-bypass mode, which the
-//! cold-cache benchmark pass uses.
-//!
-//! A third layer arrived with `tc-stream`: **streaming state**
-//! (`Dataset` → [`tc_stream::DynamicGraph`]), created the first time an
-//! `update` touches a dataset. From then on the dataset's "current
-//! graph" is the stream's materialized view, every `update` invalidates
-//! the dataset's cached variants and memoised counts (tracked by
-//! [`RegistryStats::invalidations`]), and a per-dataset mutation epoch
-//! guarantees an in-flight preprocessing compute that raced the update
-//! is returned to its caller but never admitted to the cache. Lock
-//! discipline: the registry lock and a stream lock are never held
-//! together — every path acquires `inner`, releases it, then (maybe)
-//! takes one stream mutex, so no lock-order cycle can form.
+//! Preprocessed variants ([`PrepTarget`] → [`PreprocessResult`]) live in
+//! one LRU, charged against a byte budget
+//! ([`PreprocessResult::approx_bytes`]: the oriented CSR and the
+//! permutation), behind a mutex held only for bookkeeping and never while
+//! another lock is taken. The first query for a key pays direction +
+//! ordering + rebuild; later ones hit, and a repeated `count` reads the
+//! entry's memo ([`CachedPrep::triangles`]) — `BENCH_service.json`
+//! quantifies both. A miss enters its key before preprocessing outside
+//! the mutex, so same-key misses wait on that entry's [`OnceLock`] and
+//! compute once, while misses on different keys run in parallel. An
+//! entry larger than the whole budget is returned but never admitted, so
+//! a zero budget is a deliberate cache-bypass mode (the cold benchmark
+//! pass).
 
 use crate::metrics::Histogram;
 use crate::protocol::PrepTarget;
-use std::collections::HashMap;
+use std::collections::{hash_map, HashMap};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use std::time::Instant;
 use tc_algos::engine::with_thread_scratch;
 use tc_analytics::{AnalyticsState, Notification, Observed, Predicate};
@@ -181,14 +176,18 @@ pub struct AnalyticsInfo {
     pub approx_bytes: usize,
 }
 
-/// Mutable streaming state for one dataset: the dynamic graph plus a
-/// lazily-materialized CSR of its current effective edge set (shared
-/// with every query that asks for "the raw graph"), plus a per-batch
-/// apply-latency histogram.
-struct StreamState {
-    graph: DynamicGraph,
-    /// `None` after any mutation; rebuilt (and cached) on next read.
-    materialized: Option<Arc<CsrGraph>>,
+/// Everything the registry holds for one dataset apart from its
+/// variants. Reads share it; a write holds it alone.
+struct DatasetState {
+    dataset: Dataset,
+    /// The current graph: the raw stand-in, or the stream's materialised
+    /// edge set. Built by the first read that needs it (later readers
+    /// wait for that one); every write resets it.
+    graph: OnceLock<Arc<CsrGraph>>,
+    /// The mutable edge set, created by the first `update` or
+    /// `subscribe` and never removed; the fields below describe it.
+    stream: Option<DynamicGraph>,
+    /// Per-batch apply latency.
     latency: Histogram,
     /// WAL sequence of the last applied batch (0 = never logged).
     applied_seq: u64,
@@ -196,37 +195,68 @@ struct StreamState {
     /// drives the auto-snapshot cadence.
     batches_since_snapshot: u64,
     /// Maintained per-edge support and per-vertex local counts, built on
-    /// the first analytics read (or subscription) and updated in place
-    /// by every subsequent batch via the recorded-change path.
-    analytics: Option<AnalyticsState>,
-    /// Batches applied to this stream since the service created it; an
-    /// analytics build computed outside the lock is installed only if
-    /// the epoch is unchanged (no batch raced the build).
-    epoch: u64,
+    /// the first analytics read (or subscription) and advanced in place
+    /// by every later batch via the recorded-change path.
+    analytics: OnceLock<AnalyticsState>,
 }
 
-impl StreamState {
-    fn new(graph: DynamicGraph, materialized: Option<Arc<CsrGraph>>, applied_seq: u64) -> Self {
+impl DatasetState {
+    fn new(dataset: Dataset) -> Self {
         Self {
-            graph,
-            materialized,
+            dataset,
+            graph: OnceLock::new(),
+            stream: None,
             latency: Histogram::default(),
-            applied_seq,
+            applied_seq: 0,
             batches_since_snapshot: 0,
-            analytics: None,
-            epoch: 0,
+            analytics: OnceLock::new(),
         }
     }
 
-    /// The cached materialisation, rebuilding it if a mutation dropped
-    /// it. Called under the stream lock.
-    fn materialized(&mut self) -> Arc<CsrGraph> {
-        if let Some(m) = &self.materialized {
-            return Arc::clone(m);
+    /// The current graph, built on first use.
+    fn graph(&self) -> Arc<CsrGraph> {
+        Arc::clone(self.graph.get_or_init(|| {
+            Arc::new(match &self.stream {
+                Some(stream) => stream.materialize(),
+                None => tc_datasets::load(self.dataset),
+            })
+        }))
+    }
+
+    /// Creates the stream on first touch, seeded from the current graph
+    /// (its initial full count is the last full count this dataset ever
+    /// pays).
+    fn ensure_stream(&mut self) {
+        if self.stream.is_none() {
+            let base = self.graph();
+            self.stream = Some(DynamicGraph::new((*base).clone()).background_compaction());
         }
-        let m = Arc::new(self.graph.materialize());
-        self.materialized = Some(Arc::clone(&m));
-        m
+    }
+
+    /// The maintained analytics, built from the current graph on first
+    /// use; `None` without a stream — analytics ride the delta layer,
+    /// so a static dataset has nothing to maintain.
+    fn analytics(&self) -> Option<&AnalyticsState> {
+        self.stream.as_ref()?;
+        Some(
+            self.analytics
+                .get_or_init(|| with_thread_scratch(|s| AnalyticsState::build(&self.graph(), s))),
+        )
+    }
+
+    /// Enqueues a snapshot of the stream at its last applied batch and
+    /// restarts the snapshot cadence; `false` if there is no stream.
+    fn save_stream(&mut self, store: &Store) -> bool {
+        let Some(stream) = &self.stream else {
+            return false;
+        };
+        store.save_stream(StreamRecord {
+            dataset: self.dataset,
+            last_seq: self.applied_seq,
+            snapshot: stream.snapshot(),
+        });
+        self.batches_since_snapshot = 0;
+        true
     }
 }
 
@@ -238,50 +268,35 @@ impl StreamState {
 /// zero-budget registry therefore recomputes both preprocessing *and*
 /// count on every query, which is exactly the cold pass `serve-bench`
 /// measures.
+#[derive(Default)]
 pub struct CachedPrep {
-    prep: Arc<PreprocessResult>,
+    /// Set by the lookup that missed; same-key lookups wait on it.
+    prep: OnceLock<Arc<PreprocessResult>>,
     count: OnceLock<u64>,
 }
 
 impl CachedPrep {
-    fn new(prep: Arc<PreprocessResult>) -> Self {
-        Self {
-            prep,
-            count: OnceLock::new(),
-        }
-    }
-
-    /// An entry rebuilt from a snapshot, optionally with its triangle
-    /// memo already durable.
-    fn recovered(prep: Arc<PreprocessResult>, count: Option<u64>) -> Self {
-        let cached = Self::new(prep);
-        if let Some(t) = count {
-            let _ = cached.count.set(t);
-        }
-        cached
-    }
-
-    /// The triangle memo, if it has been computed (or recovered).
-    pub fn memoized(&self) -> Option<u64> {
-        self.count.get().copied()
-    }
-
     /// The preprocessed variant.
     pub fn prep(&self) -> &Arc<PreprocessResult> {
-        &self.prep
+        self.prep
+            .get()
+            .expect("the registry hands out computed entries only")
     }
 
     /// Exact triangle count of the variant, computed on first use.
     pub fn triangles(&self) -> u64 {
         *self
             .count
-            .get_or_init(|| tc_algos::cpu::directed_count(self.prep.directed()))
+            .get_or_init(|| tc_algos::cpu::directed_count(self.prep().directed()))
     }
 }
 
 struct Entry {
     cached: Arc<CachedPrep>,
-    bytes: usize,
+    /// Bytes charged against the budget; `None` while the variant is
+    /// still being computed. An uncharged entry is never evicted, so the
+    /// lookup computing it is the one that charges or drops it.
+    bytes: Option<usize>,
     /// Monotonic touch tick; smallest = least recently used.
     last_used: u64,
     /// Wall-clock of the last touch (the `stats` surface reports idle
@@ -289,42 +304,121 @@ struct Entry {
     last_used_at: Instant,
 }
 
+impl Entry {
+    fn new(cached: Arc<CachedPrep>, bytes: Option<usize>, last_used: u64) -> Self {
+        let last_used_at = Instant::now();
+        Self {
+            cached,
+            bytes,
+            last_used,
+            last_used_at,
+        }
+    }
+}
+
+/// One shard's variants in LRU order.
 #[derive(Default)]
-struct Inner {
-    graphs: HashMap<Dataset, Arc<CsrGraph>>,
+struct Lru {
     entries: HashMap<PrepTarget, Entry>,
-    /// In-flight computations, for same-key dedup.
-    pending: HashMap<PrepTarget, Arc<OnceLock<Arc<CachedPrep>>>>,
-    /// Streaming (mutated) state per dataset. The per-dataset mutex is
-    /// *outside* `Inner`'s lock: lock order is always `inner` →
-    /// (release) → stream, so a slow materialization or batch apply
-    /// never serializes unrelated registry lookups.
-    streams: HashMap<Dataset, Arc<Mutex<StreamState>>>,
-    /// Mutation epoch per dataset, bumped by every `update`. A
-    /// preprocessing compute snapshots the epoch before running and is
-    /// admitted only if it is unchanged at admission time — an in-flight
-    /// compute racing an update can never install a stale variant.
-    epochs: HashMap<Dataset, u64>,
-    bytes: usize,
     tick: u64,
+    /// The budget, the bytes charged and the counters of what happened
+    /// to the variants; [`GraphRegistry::stats`] fills in the rest.
+    stats: RegistryStats,
+}
+
+impl Lru {
+    /// `key`'s entry, touched. A miss enters an uncharged entry, which
+    /// the caller computes and then [admits](Self::admit).
+    fn lookup(&mut self, key: PrepTarget) -> Arc<CachedPrep> {
+        self.tick += 1;
+        let tick = self.tick;
+        let entry = match self.entries.entry(key) {
+            hash_map::Entry::Occupied(e) => {
+                self.stats.hits += 1;
+                e.into_mut()
+            }
+            hash_map::Entry::Vacant(e) => {
+                self.stats.misses += 1;
+                e.insert(Entry::new(Arc::default(), None, tick))
+            }
+        };
+        entry.last_used = tick;
+        entry.last_used_at = Instant::now();
+        Arc::clone(&entry.cached)
+    }
+
+    /// Charges the computed `cached` under `key`, evicting
+    /// least-recently-used entries to make room; an entry larger than
+    /// the whole budget is dropped instead. Returns whether it was
+    /// admitted.
+    fn admit(&mut self, key: PrepTarget, cached: Arc<CachedPrep>, bytes: usize) -> bool {
+        self.remove(&key);
+        if bytes > self.stats.budget {
+            return false;
+        }
+        while self.stats.bytes + bytes > self.stats.budget {
+            let Some(victim) = self
+                .charged()
+                .min_by_key(|(_, _, e)| e.last_used)
+                .map(|(k, _, _)| *k)
+            else {
+                break;
+            };
+            self.remove(&victim);
+            self.stats.evictions += 1;
+        }
+        self.tick += 1;
+        self.stats.bytes += bytes;
+        let entry = Entry::new(cached, Some(bytes), self.tick);
+        self.entries.insert(key, entry);
+        true
+    }
+
+    /// Entries charged against the budget (computed and admitted).
+    fn charged(&self) -> impl Iterator<Item = (&PrepTarget, usize, &Entry)> {
+        self.entries
+            .iter()
+            .filter_map(|(k, e)| e.bytes.map(|b| (k, b, e)))
+    }
+
+    fn is_charged(&self, key: &PrepTarget) -> bool {
+        self.entries.get(key).is_some_and(|e| e.bytes.is_some())
+    }
+
+    /// Removes `key`'s entry and its charge.
+    fn remove(&mut self, key: &PrepTarget) {
+        if let Some(entry) = self.entries.remove(key) {
+            self.stats.bytes -= entry.bytes.unwrap_or(0);
+        }
+    }
+
+    /// Removes the entries `doomed` picks, with their charges; returns
+    /// their keys.
+    fn remove_where(&mut self, doomed: impl Fn(&PrepTarget, &Entry) -> bool) -> Vec<PrepTarget> {
+        let keys: Vec<PrepTarget> = self
+            .entries
+            .iter()
+            .filter(|(k, e)| doomed(k, e))
+            .map(|(k, _)| *k)
+            .collect();
+        for key in &keys {
+            self.remove(key);
+        }
+        keys
+    }
 }
 
 /// The registry. Cheap to share behind an [`Arc`]; all methods take
 /// `&self`.
 pub struct GraphRegistry {
-    budget: usize,
     params: ModelParams,
-    inner: Mutex<Inner>,
+    /// One slot per dataset, in name order (the order every listing is
+    /// reported in).
+    datasets: Vec<(Dataset, RwLock<DatasetState>)>,
+    lru: Mutex<Lru>,
     /// Durable home for entry snapshots and the update WAL; `None`
     /// keeps the registry purely in-memory (the historical behavior).
     persist: Option<Arc<Store>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
-    evictions: AtomicU64,
-    invalidations: AtomicU64,
-    recovered_entries: AtomicU64,
-    analytics_builds: AtomicU64,
-    analytics_batches: AtomicU64,
     analytics_reads: AtomicU64,
 }
 
@@ -343,20 +437,41 @@ impl GraphRegistry {
         params: ModelParams,
         persist: Option<Arc<Store>>,
     ) -> Self {
+        let mut datasets: Vec<(Dataset, RwLock<DatasetState>)> = Dataset::all()
+            .into_iter()
+            .map(|d| (d, RwLock::new(DatasetState::new(d))))
+            .collect();
+        datasets.sort_by_key(|(d, _)| d.name());
         Self {
-            budget: byte_budget,
             params,
-            inner: Mutex::new(Inner::default()),
+            datasets,
+            lru: Mutex::new(Lru {
+                stats: RegistryStats {
+                    budget: byte_budget,
+                    ..RegistryStats::default()
+                },
+                ..Lru::default()
+            }),
             persist,
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            invalidations: AtomicU64::new(0),
-            recovered_entries: AtomicU64::new(0),
-            analytics_builds: AtomicU64::new(0),
-            analytics_batches: AtomicU64::new(0),
             analytics_reads: AtomicU64::new(0),
         }
+    }
+
+    fn state(&self, dataset: Dataset) -> &RwLock<DatasetState> {
+        let slot = self.datasets.iter().find(|(d, _)| *d == dataset);
+        &slot.expect("every dataset has a slot").1
+    }
+
+    fn read(&self, dataset: Dataset) -> RwLockReadGuard<'_, DatasetState> {
+        self.state(dataset).read().expect("dataset lock")
+    }
+
+    fn write(&self, dataset: Dataset) -> RwLockWriteGuard<'_, DatasetState> {
+        self.state(dataset).write().expect("dataset lock")
+    }
+
+    fn lru(&self) -> MutexGuard<'_, Lru> {
+        self.lru.lock().expect("variant cache lock")
     }
 
     /// The backing store, if persistence is enabled.
@@ -365,43 +480,26 @@ impl GraphRegistry {
     }
 
     /// Installs state recovered by [`Store::open`] before the service
-    /// starts answering queries: streams first (so entry admission sees
-    /// them), then entry snapshots, charged against the budget exactly
-    /// like live admissions (oversized entries stay on disk but are not
-    /// installed).
+    /// starts answering queries: streams, then entry snapshots, charged
+    /// against the budget exactly like live admissions (oversized
+    /// entries stay on disk but are not installed).
     pub fn install_recovered(&self, recovered: Recovered) {
-        let mut inner = self.inner.lock().expect("registry lock");
         for rs in recovered.streams {
-            inner.streams.insert(
-                rs.dataset,
-                Arc::new(Mutex::new(StreamState::new(
-                    rs.graph.background_compaction(),
-                    None,
-                    rs.applied_seq,
-                ))),
-            );
+            let mut ds = self.write(rs.dataset);
+            ds.stream = Some(rs.graph.background_compaction());
+            ds.applied_seq = rs.applied_seq;
         }
+        let mut lru = self.lru();
         for record in recovered.entries {
-            let key = prep_target(&record.key);
             let prep = Arc::new(record.prep);
             let bytes = prep.approx_bytes();
-            if bytes > self.budget {
-                continue;
+            let cached = CachedPrep {
+                prep: OnceLock::from(prep),
+                count: record.triangles.map_or_else(OnceLock::new, OnceLock::from),
+            };
+            if lru.admit(prep_target(&record.key), Arc::new(cached), bytes) {
+                lru.stats.recovered_entries += 1;
             }
-            self.evict_for(&mut inner, bytes);
-            inner.tick += 1;
-            let tick = inner.tick;
-            inner.bytes += bytes;
-            inner.entries.insert(
-                key,
-                Entry {
-                    cached: Arc::new(CachedPrep::recovered(prep, record.triangles)),
-                    bytes,
-                    last_used: tick,
-                    last_used_at: Instant::now(),
-                },
-            );
-            self.recovered_entries.fetch_add(1, Ordering::Relaxed);
         }
     }
 
@@ -409,35 +507,7 @@ impl GraphRegistry {
     /// if an `update` ever touched this dataset, else the raw stand-in,
     /// loading (and caching) it on first use.
     pub fn graph(&self, dataset: Dataset) -> Arc<CsrGraph> {
-        loop {
-            // Fast path under the lock; the generator runs outside it so
-            // an expensive load does not serialize unrelated lookups. Two
-            // racing first loads may both generate — the generators are
-            // deterministic, so either result is identical and one is
-            // dropped.
-            let stream = {
-                let inner = self.inner.lock().expect("registry lock");
-                if let Some(s) = inner.streams.get(&dataset) {
-                    Some(Arc::clone(s))
-                } else if let Some(g) = inner.graphs.get(&dataset) {
-                    return Arc::clone(g);
-                } else {
-                    None
-                }
-            };
-            if let Some(stream) = stream {
-                let mut st = stream.lock().expect("stream lock");
-                return st.materialized();
-            }
-            let g = Arc::new(tc_datasets::load(dataset));
-            let mut inner = self.inner.lock().expect("registry lock");
-            if inner.streams.contains_key(&dataset) {
-                // A stream appeared while we generated: the raw stand-in
-                // may already be stale, so read through the stream.
-                continue;
-            }
-            return Arc::clone(inner.graphs.entry(dataset).or_insert(g));
-        }
+        self.read(dataset).graph()
     }
 
     /// The preprocessed variant for `key`: cached, or computed (and, if
@@ -449,85 +519,44 @@ impl GraphRegistry {
     /// The cache entry for `key` — the preprocessed variant plus its
     /// memoised derived results ([`CachedPrep::triangles`]).
     pub fn entry(&self, key: PrepTarget) -> Arc<CachedPrep> {
-        // Hit or get-or-insert the pending cell, under the lock. The
-        // dataset's mutation epoch is snapshotted here: if an `update`
-        // lands while we preprocess, the epoch moves and the stale
-        // result is returned to this caller but never admitted.
-        let (cell, epoch) = {
-            let mut inner = self.inner.lock().expect("registry lock");
-            inner.tick += 1;
-            let tick = inner.tick;
-            if let Some(entry) = inner.entries.get_mut(&key) {
-                entry.last_used = tick;
-                entry.last_used_at = Instant::now();
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Arc::clone(&entry.cached);
-            }
-            let epoch = inner.epochs.get(&key.dataset).copied().unwrap_or(0);
-            (Arc::clone(inner.pending.entry(key).or_default()), epoch)
-        };
+        self.entry_in(&self.read(key.dataset), key)
+    }
 
-        // Compute outside the lock. The OnceLock serializes same-key
-        // racers: exactly one thread runs the closure, the rest block on
-        // it and share the result (counted as hits — they waited, not
-        // worked). Different keys preprocess fully in parallel.
+    /// [`entry`](Self::entry) while the caller holds `key`'s dataset
+    /// shared, so no update lands between computing the variant and
+    /// admitting it.
+    fn entry_in(&self, ds: &DatasetState, key: PrepTarget) -> Arc<CachedPrep> {
+        let cached = self.lru().lookup(key);
+        // Outside the lock: exactly one lookup per key runs the closure;
+        // the rest block on it and share the result (counted as hits —
+        // they waited, not worked). Different keys preprocess in
+        // parallel.
         let mut computed_here = false;
-        let cached = Arc::clone(cell.get_or_init(|| {
+        let prep = cached.prep.get_or_init(|| {
             computed_here = true;
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            let graph = self.graph(key.dataset);
-            Arc::new(CachedPrep::new(Arc::new(
+            Arc::new(
                 Preprocessor::new()
                     .direction(key.direction)
                     .ordering(key.ordering)
                     .bucket_size(key.bucket_size)
                     .params(self.params.clone())
-                    .run(&graph),
-            )))
-        }));
-        if !computed_here {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return cached;
-        }
-
-        // The computing thread retires the pending cell and admits the
-        // entry (if it fits), evicting LRU victims to make room. Two
-        // guards against racing `update`s: only remove the pending cell
-        // if it is still *ours* (an invalidation may have replaced it),
-        // and only admit if the dataset's epoch is unchanged.
-        let bytes = cached.prep().approx_bytes();
-        let mut inner = self.inner.lock().expect("registry lock");
-        if inner
-            .pending
-            .get(&key)
-            .is_some_and(|c| Arc::ptr_eq(c, &cell))
-        {
-            inner.pending.remove(&key);
-        }
-        let fresh = inner.epochs.get(&key.dataset).copied().unwrap_or(0) == epoch;
-        if fresh && bytes <= self.budget {
-            self.evict_for(&mut inner, bytes);
-            inner.tick += 1;
-            let tick = inner.tick;
-            inner.bytes += bytes;
-            inner.entries.insert(
-                key,
-                Entry {
-                    cached: Arc::clone(&cached),
-                    bytes,
-                    last_used: tick,
-                    last_used_at: Instant::now(),
-                },
+                    .run(&ds.graph()),
+            )
+        });
+        let admitted = computed_here
+            && self
+                .lru()
+                .admit(key, Arc::clone(&cached), prep.approx_bytes());
+        // Snapshot the admitted variant so the next restart reads it
+        // instead of recomputing. Streamed datasets are skipped: their
+        // truth is the stream snapshot + WAL, and an entry variant of a
+        // mutating dataset would go stale on disk.
+        if let (true, Some(p), None) = (admitted, &self.persist, &ds.stream) {
+            p.save_entry(
+                prep_key(&key),
+                Arc::clone(prep),
+                cached.count.get().copied(),
             );
-            // Snapshot the admitted variant so the next restart reads
-            // it instead of recomputing. Streamed datasets are skipped:
-            // their truth is the stream snapshot + WAL, and an entry
-            // variant of a mutating dataset would go stale on disk.
-            if let Some(p) = &self.persist {
-                if !inner.streams.contains_key(&key.dataset) {
-                    p.save_entry(prep_key(&key), Arc::clone(cached.prep()), cached.memoized());
-                }
-            }
         }
         cached
     }
@@ -537,47 +566,31 @@ impl GraphRegistry {
     /// persistence is on), the entry snapshot is rewritten so the count
     /// survives restarts too.
     pub fn count(&self, key: PrepTarget) -> (Arc<CachedPrep>, u64) {
-        let cached = self.entry(key);
-        let had_memo = cached.memoized().is_some();
+        let ds = self.read(key.dataset);
+        let cached = self.entry_in(&ds, key);
+        let had_memo = cached.count.get().is_some();
         let triangles = cached.triangles();
-        if !had_memo {
-            if let Some(p) = &self.persist {
-                let inner = self.inner.lock().expect("registry lock");
-                let resident = inner
-                    .entries
-                    .get(&key)
-                    .is_some_and(|e| Arc::ptr_eq(&e.cached, &cached));
-                if resident && !inner.streams.contains_key(&key.dataset) {
-                    p.save_entry(prep_key(&key), Arc::clone(cached.prep()), Some(triangles));
-                }
+        if let (false, Some(p), None) = (had_memo, &self.persist, &ds.stream) {
+            // A resident entry for `key` holds this very variant: the
+            // dataset cannot change while `ds` is held.
+            if self.contains(&key) {
+                p.save_entry(prep_key(&key), Arc::clone(cached.prep()), Some(triangles));
             }
         }
         (cached, triangles)
     }
 
-    /// Evicts least-recently-used entries until `incoming` more bytes fit.
-    fn evict_for(&self, inner: &mut Inner, incoming: usize) {
-        while inner.bytes + incoming > self.budget {
-            let Some((&victim, _)) = inner.entries.iter().min_by_key(|(_, e)| e.last_used) else {
-                break;
-            };
-            let entry = inner.entries.remove(&victim).expect("victim present");
-            inner.bytes -= entry.bytes;
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-    }
-
     /// Applies one batch of edge operations to `dataset`'s dynamic
     /// graph, creating the streaming state on first touch (seeded from
-    /// the current raw stand-in), then invalidates every derived cache
-    /// for the dataset: the raw-graph memo, all preprocessed variants,
-    /// and any in-flight preprocessing compute's right to be admitted.
+    /// the current raw stand-in), then drops every derived cache for the
+    /// dataset: its current graph and all its preprocessed variants.
     ///
     /// With persistence enabled the batch is WAL-logged (append +
-    /// fsync) *before* it is applied, inside the stream lock — so the
-    /// per-dataset log order equals the apply order, which is what
-    /// makes crash replay bit-for-bit. A WAL failure rejects the batch
-    /// without applying it: durability is never silently degraded.
+    /// fsync) *before* it is applied, while the dataset is held
+    /// exclusively — so the per-dataset log order equals the apply
+    /// order, which is what makes crash replay bit-for-bit. A WAL
+    /// failure rejects the batch without applying it: durability is
+    /// never silently degraded.
     pub fn apply_update(&self, dataset: Dataset, ops: &[EdgeOp]) -> Result<BatchResult, String> {
         self.apply_update_watched(dataset, ops, &[])
             .map(|(result, _)| result)
@@ -585,11 +598,11 @@ impl GraphRegistry {
 
     /// [`apply_update`](Self::apply_update) with subscription predicates
     /// attached: each `(subscription id, predicate)` pair is observed
-    /// immediately before and after the batch, **under the stream
-    /// lock**, so evaluation is exact — a predicate can never miss a
-    /// crossing to a racing batch or see a torn intermediate state. The
-    /// returned notifications are exactly the predicates this batch
-    /// tripped, in `watchers` order.
+    /// immediately before and after the batch, while the dataset is
+    /// held exclusively, so evaluation is exact — a predicate can never
+    /// miss a crossing to another batch or see a torn intermediate
+    /// state. The returned notifications are exactly the predicates this
+    /// batch tripped, in `watchers` order.
     ///
     /// When watchers are present (or analytics state already exists) the
     /// batch applies through the recorded path and the maintained
@@ -601,215 +614,91 @@ impl GraphRegistry {
         ops: &[EdgeOp],
         watchers: &[(u64, Predicate)],
     ) -> Result<(BatchResult, Vec<(u64, Notification)>), String> {
-        let state = self.stream_state(dataset);
+        let mut ds = self.write(dataset);
+        ds.ensure_stream();
         let start = Instant::now();
-        let (result, fired) = {
-            let mut st = state.lock().expect("stream lock");
-            let seq = match &self.persist {
-                Some(p) => Some(
-                    p.log_batch(dataset, ops)
-                        .map_err(|e| format!("update not applied, WAL append failed: {e}"))?,
-                ),
-                None => None,
-            };
-            if !watchers.is_empty() && st.analytics.is_none() {
-                // Cold subscription racing its first batch: build under
-                // the lock so the before-observation exists. One-off.
-                let m = st.materialized();
-                st.analytics = Some(with_thread_scratch(|s| AnalyticsState::build(&m, s)));
-                self.analytics_builds.fetch_add(1, Ordering::Relaxed);
-            }
-            let before: Vec<Observed> = watchers
-                .iter()
-                .map(|(_, p)| {
-                    let a = st.analytics.as_ref().expect("analytics built above");
-                    p.observe(a, &st.graph)
-                })
-                .collect();
-            let result = if st.analytics.is_some() {
-                let (result, changes) = st.graph.apply_batch_recorded(ops);
-                st.analytics
-                    .as_mut()
-                    .expect("analytics present")
-                    .apply_changes(&changes);
-                self.analytics_batches.fetch_add(1, Ordering::Relaxed);
-                result
-            } else {
-                st.graph.apply_batch(ops)
-            };
-            st.epoch += 1;
-            let fired: Vec<(u64, Notification)> = watchers
-                .iter()
-                .zip(before)
-                .filter_map(|(&(sub, p), b)| {
-                    let a = st.analytics.as_ref().expect("analytics present");
-                    p.evaluate(b, p.observe(a, &st.graph)).map(|n| (sub, n))
-                })
-                .collect();
-            if let Some(seq) = seq {
-                let p = self.persist.as_ref().expect("seq implies a store");
-                st.applied_seq = seq;
-                st.batches_since_snapshot += 1;
-                if st.batches_since_snapshot >= p.snapshot_every_batches() {
-                    p.save_stream(StreamRecord {
-                        dataset,
-                        last_seq: seq,
-                        snapshot: st.graph.snapshot(),
-                    });
-                    st.batches_since_snapshot = 0;
-                }
-            }
-            st.materialized = None;
-            st.latency.record(start.elapsed().as_micros() as u64);
-            (result, fired)
+        let seq = match &self.persist {
+            Some(p) => Some(
+                p.log_batch(dataset, ops)
+                    .map_err(|e| format!("update not applied, WAL append failed: {e}"))?,
+            ),
+            None => None,
         };
+        if !watchers.is_empty() {
+            // The before-observations need the state this batch starts
+            // from.
+            ds.analytics();
+        }
+        let observe = |ds: &DatasetState| -> Vec<Observed> {
+            let (Some(a), Some(g)) = (ds.analytics.get(), &ds.stream) else {
+                return Vec::new();
+            };
+            watchers.iter().map(|(_, p)| p.observe(a, g)).collect()
+        };
+        let before = observe(&ds);
+        let DatasetState {
+            stream, analytics, ..
+        } = &mut *ds;
+        let stream = stream.as_mut().expect("ensured above");
+        let result = match analytics.get_mut() {
+            Some(analytics) => {
+                let (result, changes) = stream.apply_batch_recorded(ops);
+                analytics.apply_changes(&changes);
+                result
+            }
+            None => stream.apply_batch(ops),
+        };
+        let fired: Vec<(u64, Notification)> = watchers
+            .iter()
+            .zip(before.into_iter().zip(observe(&ds)))
+            .filter_map(|(&(sub, p), (b, a))| p.evaluate(b, a).map(|n| (sub, n)))
+            .collect();
+        if let (Some(seq), Some(p)) = (seq, &self.persist) {
+            ds.applied_seq = seq;
+            ds.batches_since_snapshot += 1;
+            if ds.batches_since_snapshot >= p.snapshot_every_batches() {
+                ds.save_stream(p);
+            }
+        }
+        ds.latency.record(start.elapsed().as_micros() as u64);
+        ds.graph.take();
         self.invalidate(dataset);
         Ok((result, fired))
     }
 
-    /// Ensures `dataset`'s stream carries maintained analytics state,
-    /// building it (one full support + per-vertex pass) if absent. The
-    /// build runs *outside* the stream lock and is installed only if no
-    /// batch raced it (epoch guard); after a few lost races it falls
-    /// back to building under the lock. Returns `false` if the dataset
-    /// has no stream (never mutated) — analytics ride the delta layer,
-    /// so a static dataset has nothing to maintain.
-    pub fn ensure_analytics(&self, dataset: Dataset) -> bool {
-        for _ in 0..3 {
-            let (m, epoch) = {
-                let inner = self.inner.lock().expect("registry lock");
-                let Some(stream) = inner.streams.get(&dataset).map(Arc::clone) else {
-                    return false;
-                };
-                drop(inner);
-                let mut st = stream.lock().expect("stream lock");
-                if st.analytics.is_some() {
-                    return true;
-                }
-                (st.materialized(), st.epoch)
-            };
-            let built = with_thread_scratch(|s| AnalyticsState::build(&m, s));
-            let stream = {
-                let inner = self.inner.lock().expect("registry lock");
-                let Some(stream) = inner.streams.get(&dataset).map(Arc::clone) else {
-                    return false;
-                };
-                stream
-            };
-            let mut st = stream.lock().expect("stream lock");
-            if st.analytics.is_some() {
-                return true;
-            }
-            if st.epoch == epoch {
-                st.analytics = Some(built);
-                self.analytics_builds.fetch_add(1, Ordering::Relaxed);
-                return true;
-            }
-            // A batch raced the build; retry against the new state.
-        }
-        // Persistent contention: build under the lock (exact, just slower).
-        let stream = {
-            let inner = self.inner.lock().expect("registry lock");
-            let Some(stream) = inner.streams.get(&dataset).map(Arc::clone) else {
-                return false;
-            };
-            stream
-        };
-        let mut st = stream.lock().expect("stream lock");
-        if st.analytics.is_none() {
-            let m = st.materialized();
-            st.analytics = Some(with_thread_scratch(|s| AnalyticsState::build(&m, s)));
-            self.analytics_builds.fetch_add(1, Ordering::Relaxed);
-        }
-        true
+    /// Gives `dataset` the stream and analytics a subscription rides on,
+    /// creating them on first use (a never-mutated dataset gets the
+    /// delta layer too), and observes the value `predicate` watches now
+    /// — the new subscription's starting point.
+    pub fn watch(&self, dataset: Dataset, predicate: &Predicate) -> Observed {
+        let mut ds = self.write(dataset);
+        ds.ensure_stream();
+        let analytics = ds.analytics().expect("the stream exists");
+        predicate.observe(analytics, ds.stream.as_ref().expect("the stream exists"))
     }
 
-    /// Creates `dataset`'s streaming state if it does not exist yet,
-    /// without applying any operations — `subscribe` uses this so a
-    /// never-mutated dataset still gets the delta layer its analytics
-    /// ride on.
-    pub fn ensure_stream(&self, dataset: Dataset) {
-        let _ = self.stream_state(dataset);
-    }
-
-    /// Whether `dataset` has live streaming state (i.e. was ever
-    /// mutated), which is what makes its analytics incremental.
-    pub fn has_stream(&self, dataset: Dataset) -> bool {
-        self.inner
-            .lock()
-            .expect("registry lock")
-            .streams
-            .contains_key(&dataset)
-    }
-
-    fn with_analytics<R>(
+    /// Runs `read` on `dataset`'s maintained analytics and the
+    /// materialised graph they describe (building the analytics on first
+    /// use), and returns that graph beside the result — e.g. the
+    /// per-edge supports the k-truss peel consumes, or the per-vertex
+    /// counts behind clustering. `None` if the dataset has no stream.
+    pub fn with_analytics<R>(
         &self,
         dataset: Dataset,
-        f: impl FnOnce(&mut StreamState, Arc<CsrGraph>) -> R,
-    ) -> Option<R> {
-        let stream = {
-            let inner = self.inner.lock().expect("registry lock");
-            inner.streams.get(&dataset).map(Arc::clone)?
-        };
-        let mut st = stream.lock().expect("stream lock");
-        st.analytics.as_ref()?;
-        let m = st.materialized();
+        read: impl FnOnce(&AnalyticsState, &CsrGraph) -> R,
+    ) -> Option<(Arc<CsrGraph>, R)> {
+        let ds = self.read(dataset);
+        let analytics = ds.analytics()?;
+        let g = ds.graph();
         self.analytics_reads.fetch_add(1, Ordering::Relaxed);
-        Some(f(&mut st, m))
-    }
-
-    /// The materialised current graph plus the maintained per-edge
-    /// supports in `g.edges()` order — the exact input the k-truss peel
-    /// consumes. `None` until [`ensure_analytics`](Self::ensure_analytics)
-    /// has run for the dataset.
-    pub fn analytics_supports(&self, dataset: Dataset) -> Option<(Arc<CsrGraph>, Vec<u32>)> {
-        self.with_analytics(dataset, |st, m| {
-            let supports = st
-                .analytics
-                .as_ref()
-                .expect("checked above")
-                .supports_in_edge_order(&m);
-            (m, supports)
-        })
-    }
-
-    /// The materialised current graph plus the maintained per-vertex
-    /// local triangle counts — the input to the clustering arithmetic.
-    /// `None` until analytics exist for the dataset.
-    pub fn analytics_local_counts(&self, dataset: Dataset) -> Option<(Arc<CsrGraph>, Vec<u64>)> {
-        self.with_analytics(dataset, |st, m| {
-            let local = st
-                .analytics
-                .as_ref()
-                .expect("checked above")
-                .local_counts()
-                .to_vec();
-            (m, local)
-        })
-    }
-
-    /// Observes the value `predicate` watches right now (used to seed a
-    /// new subscription's response). `None` if the dataset carries no
-    /// analytics state yet.
-    pub fn observe_predicate(&self, dataset: Dataset, predicate: &Predicate) -> Option<Observed> {
-        let stream = {
-            let inner = self.inner.lock().expect("registry lock");
-            inner.streams.get(&dataset).map(Arc::clone)?
-        };
-        let st = stream.lock().expect("stream lock");
-        st.analytics
-            .as_ref()
-            .map(|a| predicate.observe(a, &st.graph))
+        let value = read(analytics, &g);
+        Some((g, value))
     }
 
     /// Analytics snapshot for `dataset`, if its stream carries state.
     pub fn analytics_info(&self, dataset: Dataset) -> Option<AnalyticsInfo> {
-        let stream = {
-            let inner = self.inner.lock().expect("registry lock");
-            inner.streams.get(&dataset).map(Arc::clone)?
-        };
-        let st = stream.lock().expect("stream lock");
-        let a = st.analytics.as_ref()?;
+        let ds = self.read(dataset);
+        let a = ds.analytics.get()?;
         Some(AnalyticsInfo {
             dataset,
             tracked_edges: a.edge_count(),
@@ -823,14 +712,9 @@ impl GraphRegistry {
     /// Analytics snapshots for every dataset that carries state, ordered
     /// by dataset name (deterministic for the wire).
     pub fn analytics_infos(&self) -> Vec<AnalyticsInfo> {
-        let mut datasets: Vec<Dataset> = {
-            let inner = self.inner.lock().expect("registry lock");
-            inner.streams.keys().copied().collect()
-        };
-        datasets.sort_by_key(|d| d.name());
+        let datasets = self.datasets.iter();
         datasets
-            .into_iter()
-            .filter_map(|d| self.analytics_info(d))
+            .filter_map(|(d, _)| self.analytics_info(*d))
             .collect()
     }
 
@@ -841,73 +725,22 @@ impl GraphRegistry {
         let Some(p) = &self.persist else {
             return Err("persistence is not enabled".into());
         };
-        let streams: Vec<(Dataset, Arc<Mutex<StreamState>>)> = {
-            let inner = self.inner.lock().expect("registry lock");
-            inner
-                .streams
-                .iter()
-                .map(|(d, s)| (*d, Arc::clone(s)))
-                .collect()
-        };
-        let n = streams.len();
-        for (dataset, state) in streams {
-            let mut st = state.lock().expect("stream lock");
-            p.save_stream(StreamRecord {
-                dataset,
-                last_seq: st.applied_seq,
-                snapshot: st.graph.snapshot(),
-            });
-            st.batches_since_snapshot = 0;
-        }
+        let saved = self.datasets.iter().filter(|(_, state)| {
+            let mut ds = state.write().expect("dataset lock");
+            ds.save_stream(p)
+        });
+        let n = saved.count();
         p.flush();
         Ok(n)
     }
 
-    /// The streaming state for `dataset`, created on first use.
-    fn stream_state(&self, dataset: Dataset) -> Arc<Mutex<StreamState>> {
-        if let Some(s) = self
-            .inner
-            .lock()
-            .expect("registry lock")
-            .streams
-            .get(&dataset)
-        {
-            return Arc::clone(s);
-        }
-        // First touch: seed from the current graph, outside the registry
-        // lock (the initial full count is the expensive part — it is the
-        // last full count this dataset ever pays). Racing first touches
-        // both build; `or_insert` keeps one, and both are identical
-        // because the seed graph is.
-        let base = self.graph(dataset);
-        let graph = DynamicGraph::new((*base).clone()).background_compaction();
-        let state = Arc::new(Mutex::new(StreamState::new(graph, Some(base), 0)));
-        let mut inner = self.inner.lock().expect("registry lock");
-        Arc::clone(inner.streams.entry(dataset).or_insert(state))
-    }
-
-    /// Drops every derived cache for a mutated dataset and bumps its
-    /// epoch so racing preprocessing computes are not admitted.
+    /// Drops every cached variant of a mutated dataset.
     fn invalidate(&self, dataset: Dataset) {
-        let mut inner = self.inner.lock().expect("registry lock");
-        *inner.epochs.entry(dataset).or_insert(0) += 1;
-        inner.graphs.remove(&dataset);
-        let stale: Vec<PrepTarget> = inner
-            .entries
-            .keys()
-            .filter(|k| k.dataset == dataset)
-            .copied()
-            .collect();
-        for key in stale {
-            let entry = inner.entries.remove(&key).expect("stale key present");
-            inner.bytes -= entry.bytes;
-            self.invalidations.fetch_add(1, Ordering::Relaxed);
+        {
+            let mut lru = self.lru();
+            let stale = lru.remove_where(|k, _| k.dataset == dataset);
+            lru.stats.invalidations += stale.len() as u64;
         }
-        // Detach in-flight computes for this dataset: their results are
-        // now stale, so the next lookup must start fresh rather than
-        // join them (the epoch guard stops them from admitting).
-        inner.pending.retain(|k, _| k.dataset != dataset);
-        drop(inner);
         // The dataset's on-disk entry snapshots are equally stale.
         if let Some(p) = &self.persist {
             p.delete_dataset_entries(dataset);
@@ -916,49 +749,38 @@ impl GraphRegistry {
 
     /// Streaming snapshot for `dataset`, if it has ever been updated.
     pub fn stream_info(&self, dataset: Dataset) -> Option<StreamInfo> {
-        let state = {
-            let inner = self.inner.lock().expect("registry lock");
-            inner.streams.get(&dataset).map(Arc::clone)?
-        };
-        let st = state.lock().expect("stream lock");
+        let ds = self.read(dataset);
+        let stream = ds.stream.as_ref()?;
         Some(StreamInfo {
             dataset,
-            nodes: st.graph.num_vertices(),
-            edges: st.graph.num_edges(),
-            triangles: st.graph.triangles(),
-            delta_edges: st.graph.delta_edges(),
-            compaction_budget: st.graph.compaction_policy().max_delta_edges,
-            counters: st.graph.counters(),
-            batch_p50_us: st.latency.quantile_upper_us(0.50),
-            batch_p99_us: st.latency.quantile_upper_us(0.99),
-            approx_bytes: st.graph.approx_bytes(),
+            nodes: stream.num_vertices(),
+            edges: stream.num_edges(),
+            triangles: stream.triangles(),
+            delta_edges: stream.delta_edges(),
+            compaction_budget: stream.compaction_policy().max_delta_edges,
+            counters: stream.counters(),
+            batch_p50_us: ds.latency.quantile_upper_us(0.50),
+            batch_p99_us: ds.latency.quantile_upper_us(0.99),
+            approx_bytes: stream.approx_bytes(),
         })
     }
 
     /// Streaming snapshots for every updated dataset, ordered by
     /// dataset name (deterministic for the wire).
     pub fn stream_infos(&self) -> Vec<StreamInfo> {
-        let mut datasets: Vec<Dataset> = {
-            let inner = self.inner.lock().expect("registry lock");
-            inner.streams.keys().copied().collect()
-        };
-        datasets.sort_by_key(|d| d.name());
-        datasets
-            .into_iter()
-            .filter_map(|d| self.stream_info(d))
-            .collect()
+        let datasets = self.datasets.iter();
+        datasets.filter_map(|(d, _)| self.stream_info(*d)).collect()
     }
 
     /// Per-entry cache description (bytes, idle time), ordered by cache
     /// key for a deterministic wire layout.
     pub fn entry_details(&self) -> Vec<EntryDetail> {
-        let inner = self.inner.lock().expect("registry lock");
-        let mut details: Vec<EntryDetail> = inner
-            .entries
-            .iter()
-            .map(|(target, e)| EntryDetail {
+        let lru = self.lru();
+        let mut details: Vec<EntryDetail> = lru
+            .charged()
+            .map(|(target, bytes, e)| EntryDetail {
                 target: *target,
-                bytes: e.bytes,
+                bytes,
                 idle_ms: e.last_used_at.elapsed().as_millis() as u64,
             })
             .collect();
@@ -975,31 +797,20 @@ impl GraphRegistry {
 
     /// Whether `key` is currently cached (test/diagnostic surface).
     pub fn contains(&self, key: &PrepTarget) -> bool {
-        self.inner
-            .lock()
-            .expect("registry lock")
-            .entries
-            .contains_key(key)
+        self.lru().is_charged(key)
     }
 
     /// Evicts one variant; returns whether it was present. An explicit
     /// evict also deletes the entry's snapshot — unlike LRU pressure,
     /// which keeps the file so the next restart can still warm-load it.
+    /// A variant still being computed is not cached yet, so it stays.
     pub fn evict(&self, key: &PrepTarget) -> bool {
-        let removed = {
-            let mut inner = self.inner.lock().expect("registry lock");
-            match inner.entries.remove(key) {
-                Some(e) => {
-                    inner.bytes -= e.bytes;
-                    true
-                }
-                None => false,
-            }
-        };
-        if removed {
-            if let Some(p) = &self.persist {
-                p.delete_entry(prep_key(key));
-            }
+        let removed = !self
+            .lru()
+            .remove_where(|k, e| k == key && e.bytes.is_some())
+            .is_empty();
+        if let (true, Some(p)) = (removed, &self.persist) {
+            p.delete_entry(prep_key(key));
         }
         removed
     }
@@ -1009,50 +820,48 @@ impl GraphRegistry {
     /// it holds mutations with no other home — so it survives a clear
     /// (and `graph` keeps reading through it).
     pub fn clear(&self) -> usize {
-        let (n, keys) = {
-            let mut inner = self.inner.lock().expect("registry lock");
-            let keys: Vec<PrepTarget> = inner.entries.keys().copied().collect();
-            let n = inner.entries.len();
-            inner.entries.clear();
-            inner.graphs.clear();
-            inner.bytes = 0;
-            (n, keys)
-        };
-        if let Some(p) = &self.persist {
-            for key in keys {
-                p.delete_entry(prep_key(&key));
+        let keys = self.lru().remove_where(|_, e| e.bytes.is_some());
+        for (_, state) in &self.datasets {
+            let mut ds = state.write().expect("dataset lock");
+            if ds.stream.is_none() {
+                ds.graph.take();
             }
         }
-        n
+        if let Some(p) = &self.persist {
+            for key in &keys {
+                p.delete_entry(prep_key(key));
+            }
+        }
+        keys.len()
     }
 
     /// Snapshot of the registry counters.
     pub fn stats(&self) -> RegistryStats {
-        let streams: Vec<Arc<Mutex<StreamState>>> = {
-            let inner = self.inner.lock().expect("registry lock");
-            inner.streams.values().map(Arc::clone).collect()
+        let mut stats = {
+            let lru = self.lru();
+            let entries = lru.charged().count();
+            RegistryStats {
+                entries,
+                ..lru.stats
+            }
         };
-        let analytics_states = streams
-            .iter()
-            .filter(|s| s.lock().expect("stream lock").analytics.is_some())
-            .count();
-        let inner = self.inner.lock().expect("registry lock");
-        RegistryStats {
-            entries: inner.entries.len(),
-            bytes: inner.bytes,
-            budget: self.budget,
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            raw_graphs: inner.graphs.len(),
-            streams: inner.streams.len(),
-            invalidations: self.invalidations.load(Ordering::Relaxed),
-            recovered_entries: self.recovered_entries.load(Ordering::Relaxed),
-            analytics_states,
-            analytics_builds: self.analytics_builds.load(Ordering::Relaxed),
-            analytics_batches: self.analytics_batches.load(Ordering::Relaxed),
-            analytics_reads: self.analytics_reads.load(Ordering::Relaxed),
+        for (_, state) in &self.datasets {
+            let ds = state.read().expect("dataset lock");
+            match (&ds.stream, ds.analytics.get()) {
+                (None, _) => stats.raw_graphs += usize::from(ds.graph.get().is_some()),
+                (Some(_), None) => stats.streams += 1,
+                (Some(_), Some(a)) => {
+                    stats.streams += 1;
+                    stats.analytics_states += 1;
+                    stats.analytics_batches += a.batches_applied();
+                }
+            }
         }
+        // A stream builds its analytics once and keeps them, so there is
+        // one build per state.
+        stats.analytics_builds = stats.analytics_states as u64;
+        stats.analytics_reads = self.analytics_reads.load(Ordering::Relaxed);
+        stats
     }
 }
 

@@ -17,7 +17,7 @@
 
 use crate::delta::DeltaAdjacency;
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use tc_core::{PreprocessResult, Preprocessor};
 use tc_graph::layered::LayeredNeighbors;
@@ -51,7 +51,10 @@ pub(crate) fn fold(base: &CsrGraph, delta: &DeltaAdjacency) -> CsrGraph {
 #[derive(Debug)]
 pub(crate) struct Compactor {
     job_tx: Option<Sender<CompactionJob>>,
-    done_rx: Receiver<CompactionDone>,
+    /// Behind a `Mutex` only so that a graph can be shared read-only
+    /// between threads (`Receiver` is not `Sync`); it is reached through
+    /// `get_mut`, which never locks.
+    done_rx: Mutex<Receiver<CompactionDone>>,
     worker: Option<JoinHandle<()>>,
 }
 
@@ -78,7 +81,7 @@ impl Compactor {
             .expect("spawn tc-stream compaction worker");
         Self {
             job_tx: Some(job_tx),
-            done_rx,
+            done_rx: Mutex::new(done_rx),
             worker: Some(worker),
         }
     }
@@ -92,14 +95,20 @@ impl Compactor {
         }
     }
 
+    fn done_rx(&mut self) -> &Receiver<CompactionDone> {
+        self.done_rx
+            .get_mut()
+            .expect("never locked, so never poisoned")
+    }
+
     /// Non-blocking poll for a finished rebuild.
-    pub(crate) fn try_recv(&self) -> Option<CompactionDone> {
-        self.done_rx.try_recv().ok()
+    pub(crate) fn try_recv(&mut self) -> Option<CompactionDone> {
+        self.done_rx().try_recv().ok()
     }
 
     /// Blocks until the next finished rebuild; `None` if the worker died.
-    pub(crate) fn recv_blocking(&self) -> Option<CompactionDone> {
-        self.done_rx.recv().ok()
+    pub(crate) fn recv_blocking(&mut self) -> Option<CompactionDone> {
+        self.done_rx().recv().ok()
     }
 }
 

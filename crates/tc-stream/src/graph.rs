@@ -321,7 +321,7 @@ impl DynamicGraph {
         if self.inflight.is_none() {
             return false;
         }
-        match self.compactor.as_ref().and_then(Compactor::try_recv) {
+        match self.compactor.as_mut().and_then(Compactor::try_recv) {
             Some(done) => {
                 self.install(done);
                 true
@@ -336,7 +336,7 @@ impl DynamicGraph {
         if self.inflight.is_none() {
             return false;
         }
-        match self.compactor.as_ref().and_then(Compactor::recv_blocking) {
+        match self.compactor.as_mut().and_then(Compactor::recv_blocking) {
             Some(done) => {
                 self.install(done);
                 true
