@@ -92,6 +92,25 @@ impl Cli {
         }
     }
 
+    /// Records a benchmark run in `file`. Only full runs do: a `--small`
+    /// smoke run would clobber the committed rows with partial data.
+    fn write_bench(&self, file: &str, json: &str) -> bool {
+        if self.args.small {
+            eprintln!("partial run: {file} left untouched");
+            return true;
+        }
+        match std::fs::write(file, json) {
+            Ok(()) => {
+                eprintln!("wrote {file}");
+                true
+            }
+            Err(e) => {
+                eprintln!("could not write {file}: {e}");
+                false
+            }
+        }
+    }
+
     fn run_one(&self, id: &str) -> bool {
         match id {
             "table2" => {
@@ -191,31 +210,12 @@ impl Cli {
                 let contended = serve_bench::run_contended(&shard_counts, clients, self.args.small);
                 println!("{}", serve_bench::render_contended(&contended));
                 let json = serve_bench::to_json_with_contended(&rows, &contended);
-                match std::fs::write("BENCH_service.json", &json) {
-                    Ok(()) => eprintln!("wrote BENCH_service.json"),
-                    Err(e) => {
-                        eprintln!("could not write BENCH_service.json: {e}");
-                        return false;
-                    }
-                }
+                return self.write_bench("BENCH_service.json", &json);
             }
             "cpu-bench" => {
                 let reports = cpu_bench::run(self.args.small);
                 println!("{}", cpu_bench::render(&reports));
-                // Only full sweeps overwrite the committed benchmark
-                // file; smoke runs would clobber it with partial data.
-                if self.args.small {
-                    eprintln!("partial cpu-bench run: BENCH_cpu.json left untouched");
-                } else {
-                    let json = cpu_bench::to_json(&reports);
-                    match std::fs::write("BENCH_cpu.json", &json) {
-                        Ok(()) => eprintln!("wrote BENCH_cpu.json"),
-                        Err(e) => {
-                            eprintln!("could not write BENCH_cpu.json: {e}");
-                            return false;
-                        }
-                    }
-                }
+                return self.write_bench("BENCH_cpu.json", &cpu_bench::to_json(&reports));
             }
             "stream-bench" => {
                 let reports = stream_bench::run(self.args.small);
@@ -223,13 +223,7 @@ impl Cli {
                 let analytics = stream_bench::run_analytics(self.args.small);
                 println!("{}", stream_bench::render_analytics(&analytics));
                 let json = stream_bench::to_json_with_analytics(&reports, &analytics);
-                match std::fs::write("BENCH_stream.json", &json) {
-                    Ok(()) => eprintln!("wrote BENCH_stream.json"),
-                    Err(e) => {
-                        eprintln!("could not write BENCH_stream.json: {e}");
-                        return false;
-                    }
-                }
+                return self.write_bench("BENCH_stream.json", &json);
             }
             other => {
                 eprintln!("unknown experiment id: {other}");

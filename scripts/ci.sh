@@ -4,6 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# The smoke runs below must leave every committed benchmark file as it is.
+bench_sums=$(sha256sum BENCH_*.json)
+
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
@@ -19,6 +22,12 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 echo "==> tier-1: cargo build --release && cargo test -q (every workspace crate, default features)"
 cargo build --release
 cargo test -q
+
+echo "==> request_order and analytics_e2e, 20 runs each (a reordered update fails; a timeout turns a push that never arrives into a failure)"
+for run in $(seq 1 20); do
+    timeout 120 cargo test -q -p tc-service --test request_order --test analytics_e2e \
+        || { echo "run $run of 20 failed or timed out"; exit 1; }
+done
 
 echo "==> tier-1 again under --features simd (SSE2/AVX2 block merge and AVX2 gather probe live)"
 cargo build --release -p tc-algos --features simd
@@ -66,5 +75,12 @@ cargo run --release --offline -q --manifest-path tcbench/Cargo.toml -- \
 echo "==> tcbench prep-churn smoke run (exits 1 if a count over any of the 72 preprocessed variants differs from node_iterator)"
 cargo run --release --offline -q --manifest-path tcbench/Cargo.toml -- \
     --workload prep-churn --seed 1 --seconds 1 --trace 0
+
+echo "==> committed BENCH_*.json unchanged by the smoke runs"
+if [ "$(sha256sum BENCH_*.json)" != "$bench_sums" ]; then
+    echo "a smoke run rewrote a committed benchmark file:"
+    sha256sum BENCH_*.json
+    exit 1
+fi
 
 echo "==> ci.sh: all green"
