@@ -2,13 +2,16 @@
 //!
 //! A `subscribe` request registers a [`Predicate`] for a dataset on the
 //! issuing connection. Every applied `update` batch then evaluates the
-//! dataset's watchers around the apply (see
-//! [`GraphRegistry::apply_update_watched`](crate::registry::GraphRegistry::apply_update_watched))
+//! dataset's watchers just before and just after the apply, while the
+//! update holds its dataset alone (see
+//! [`GraphRegistry::apply_update_watched`](crate::registry::GraphRegistry::apply_update_watched)),
 //! and pushes one notification frame per tripped subscription onto the
 //! subscriber's connection — through the same ordered per-connection
 //! queue the writer resolves responses from, so a push never interleaves
 //! into the middle of a response line and always arrives *after* the
-//! `subscribe` acknowledgement that created it.
+//! `subscribe` acknowledgement that created it. A shard applies a
+//! dataset's batches in admission order, so pushes arrive in the order
+//! of the batches that caused them.
 //!
 //! Lifecycle: a subscription dies by explicit `unsubscribe` (only from
 //! its owning connection), by its connection disconnecting (the reader
