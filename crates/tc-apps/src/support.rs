@@ -5,8 +5,8 @@
 //! graph's (degree, id) orientation, which finds each triangle once and
 //! credits its three edges and three corners: the forward algorithm's
 //! `O(m^{3/2})` wedge work. The `*_with` variants take a caller-owned
-//! [`Scratch`] (the service executor's pool); the plain variants borrow
-//! the thread-local scratch.
+//! [`Scratch`] (a service worker's, sized for the graph up front); the
+//! plain variants borrow the thread-local scratch.
 
 use tc_algos::engine::{self, with_thread_scratch, Scratch};
 use tc_graph::{degree_rank, orient_by_rank, CsrGraph, DirectedGraph, VertexId};

@@ -1,8 +1,7 @@
-//! Query execution: the per-shard [`Executor`] turns a validated
-//! [`Request`] into a response payload against that shard's registry and
-//! subscription state, and the [`Engine`] above it routes
-//! requests to their owning shard and fans admin ops out across all of
-//! them.
+//! Query execution: the [`Engine`] turns a validated [`Request`] into a
+//! response payload. A dataset op runs against its owning [`Shard`]'s
+//! registry and subscription state; admin ops that must see every shard
+//! fan out across all of them and merge.
 //!
 //! Every payload a *query* op returns is a deterministic function of the
 //! request (exact counts, simulated cycles, scores) — no wall-clock
@@ -18,7 +17,6 @@ use crate::server::ConnContext;
 use crate::subs::SubscriptionRegistry;
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::Instant;
 use tc_algos::engine::{with_thread_scratch, Scratch};
 use tc_algos::{
@@ -44,24 +42,20 @@ pub struct ServerInfo {
     pub default_deadline_ms: u64,
 }
 
-/// One shard's execution state: everything a query for a dataset owned
-/// by this shard touches. No field is shared with another shard (the
+/// One shard's state: everything a query for a dataset owned by this
+/// shard touches. No field is shared with another shard (the
 /// persistence [`Store`](tc_persist::Store) behind the registry is the
 /// one deliberate exception — see `server.rs` — and it is off the query
 /// hot path), so two requests for datasets on different shards contend
 /// on nothing.
-pub struct Executor {
-    /// Which shard this is (index into the engine's shard vector).
-    pub shard: usize,
-    /// The simulated GPU all `simulate` queries run on.
-    pub gpu: GpuConfig,
+pub struct Shard {
     /// This shard's slice of the preprocessed-graph registry.
-    pub registry: Arc<GraphRegistry>,
+    pub registry: GraphRegistry,
     /// This shard's metrics (aggregated by the engine's `stats`).
-    pub metrics: Arc<ServiceMetrics>,
+    pub metrics: ServiceMetrics,
     /// Subscriptions on datasets this shard owns (ids are engine-unique
     /// via the shared counter).
-    pub subs: Arc<SubscriptionRegistry>,
+    pub subs: SubscriptionRegistry,
 }
 
 /// The kernel names `simulate` accepts.
@@ -146,15 +140,45 @@ fn observed_json(o: Observed) -> Json {
     }
 }
 
-impl Executor {
-    /// Executes one request against *this shard's* state, returning the
-    /// success payload or a structured error. This is the single-shard
-    /// view: admin ops that must see every shard (`stats`,
-    /// `recover-stats`, and the all-datasets fan-outs) live on
-    /// [`Engine`], which also routes dataset ops to their owning shard.
-    /// Connection-scoped ops (`subscribe`, `unsubscribe`) fail through
-    /// this entry point — use `execute_conn` with
-    /// a connection context.
+/// The shard-per-core engine: a vector of [`Shard`]s plus the thin
+/// routing / aggregation layer over them.
+///
+/// Dataset ops run against `shard_of(dataset)`'s shard; dataset-free
+/// diagnostics (`ping`, bare `sleep`) run on shard 0; admin ops that
+/// must see everything (`stats`, `recover-stats`, `snapshot`, bare
+/// `evict` / `stream-stats` / `analytics-stats`, `unsubscribe`) fan out
+/// across every shard and merge deterministically. The engine itself
+/// holds **no lock** — routing is a pure hash, and fan-outs acquire each
+/// shard's locks one at a time, off the per-dataset hot path.
+pub struct Engine {
+    /// The shards, indexed by [`shard_of`].
+    pub shards: Vec<Shard>,
+    /// The simulated GPU all `simulate` queries run on.
+    pub gpu: GpuConfig,
+    /// Static server configuration echoed on `stats`.
+    pub info: ServerInfo,
+    /// Server start time (for the `stats` uptime field).
+    pub started: Instant,
+    /// What startup recovery did, when persistence is enabled — the
+    /// `recover-stats` admin op reports it verbatim. Recovery spans
+    /// every shard (the store is opened once), so the report lives here.
+    pub recovery: Option<tc_persist::RecoveryReport>,
+    /// Connection-level counters (accepted connections, parse failures).
+    pub router: RouterMetrics,
+}
+
+impl Engine {
+    /// The shard that owns `request`: its dataset's owner, or shard 0
+    /// for dataset-free requests (for a fan-out, the nominal shard only
+    /// selects which worker pool runs it).
+    pub fn route(&self, request: &Request) -> usize {
+        request
+            .dataset()
+            .map_or(0, |d| shard_of(d, self.shards.len()))
+    }
+
+    /// Executes one request, routing it to its owning shard or fanning
+    /// it out, without a connection context.
     pub fn execute(&self, request: &Request) -> Result<Payload, ServiceError> {
         self.execute_conn(request, None)
     }
@@ -166,370 +190,8 @@ impl Executor {
         request: &Request,
         ctx: Option<&ConnContext>,
     ) -> Result<Payload, ServiceError> {
-        match request {
-            Request::Ping => Ok(vec![("pong".into(), Json::Bool(true))]),
-            Request::Sleep { ms, .. } => {
-                std::thread::sleep(std::time::Duration::from_millis(*ms));
-                Ok(vec![("slept_ms".into(), u(*ms))])
-            }
-            Request::Count(target) => {
-                // The triangle count is memoised on the cache entry: the
-                // first `count` per cached prep computes, repeats look up
-                // (and, with persistence on, the memo goes durable too).
-                let (entry, triangles) = self.registry.count(*target);
-                let directed = entry.prep().directed();
-                let mut payload = target_members(target);
-                payload.push(("nodes".into(), u(directed.num_vertices() as u64)));
-                payload.push(("edges".into(), u(directed.num_edges() as u64)));
-                payload.push(("triangles".into(), u(triangles)));
-                Ok(payload)
-            }
-            Request::Simulate(target, algo) => {
-                let prep = self.registry.preprocessed(*target);
-                let run = run_named_kernel(algo, &prep, &self.gpu).ok_or_else(|| {
-                    ServiceError::new(
-                        ErrorKind::UnknownAlgo,
-                        format!(
-                            "unknown algo \"{algo}\" (expected one of {})",
-                            ALGO_NAMES.join(", ")
-                        ),
-                    )
-                })?;
-                let mut payload = target_members(target);
-                payload.push(("algo".into(), s(algo.clone())));
-                payload.push(("triangles".into(), u(run.triangles)));
-                payload.push(("kernel_cycles".into(), u(run.metrics.kernel_cycles)));
-                payload.push(("kernel_ms".into(), Json::Float(run.kernel_ms(&self.gpu))));
-                payload.push(("blocks".into(), u(run.metrics.blocks as u64)));
-                payload.push(("warps".into(), u(run.metrics.warps as u64)));
-                payload.push(("global_segments".into(), u(run.metrics.global_segments)));
-                payload.push((
-                    "shared_transactions".into(),
-                    u(run.metrics.shared_transactions),
-                ));
-                payload.push((
-                    "barrier_wait_cycles".into(),
-                    u(run.metrics.barrier_wait_cycles),
-                ));
-                Ok(payload)
-            }
-            Request::Ktruss(dataset) => {
-                // Streamed datasets read from the maintained analytics
-                // state: the support pass is already incremental,
-                // leaving only the deterministic peel. The
-                // differential suite pins this bit-identical to the full
-                // decomposition below.
-                let supports = self
-                    .registry
-                    .with_analytics(*dataset, |a, g| a.supports_in_edge_order(g));
-                let trussness = match supports {
-                    Some((g, supports)) => tc_apps::ktruss_from_supports(&g, supports),
-                    None => {
-                        let g = self.registry.graph(*dataset);
-                        with_scratch_for(g.num_vertices(), |scratch| {
-                            tc_apps::ktruss_decomposition_with(&g, scratch)
-                        })
-                    }
-                };
-                // Deterministic summary: edges per truss level, ascending.
-                let mut levels: BTreeMap<u32, u64> = BTreeMap::new();
-                for &k in trussness.values() {
-                    *levels.entry(k).or_insert(0) += 1;
-                }
-                let max_truss = levels.keys().next_back().copied().unwrap_or(0);
-                let level_rows: Vec<Json> = levels
-                    .into_iter()
-                    .map(|(k, edges)| obj(vec![("k", u(k as u64)), ("edges", u(edges))]))
-                    .collect();
-                Ok(vec![
-                    ("dataset".into(), s(dataset.name())),
-                    ("max_truss".into(), u(max_truss as u64)),
-                    ("levels".into(), Json::Arr(level_rows)),
-                ])
-            }
-            Request::Clustering(dataset) => {
-                // Both coefficients fold one set of per-vertex counts.
-                // Streamed datasets read the maintained counts — no
-                // intersections at all, pinned bit-identical to the
-                // full recompute by the differential suite; static ones
-                // count once.
-                let maintained = self
-                    .registry
-                    .with_analytics(*dataset, |a, _| a.local_counts().to_vec());
-                let (g, counts) = match maintained {
-                    Some(maintained) => maintained,
-                    None => {
-                        let g = self.registry.graph(*dataset);
-                        let counts = with_scratch_for(g.num_vertices(), |scratch| {
-                            tc_apps::triangles_per_vertex_with(&g, scratch)
-                        });
-                        (g, counts)
-                    }
-                };
-                let local = tc_apps::coefficients_from_counts(&g, &counts);
-                let global = tc_apps::global_from_counts(&g, &counts);
-                let mean_local = if local.is_empty() {
-                    0.0
-                } else {
-                    local.iter().sum::<f64>() / local.len() as f64
-                };
-                Ok(vec![
-                    ("dataset".into(), s(dataset.name())),
-                    ("nodes".into(), u(g.num_vertices() as u64)),
-                    ("global_coefficient".into(), Json::Float(global)),
-                    ("mean_local_coefficient".into(), Json::Float(mean_local)),
-                ])
-            }
-            Request::Recommend { dataset, source, k } => {
-                let g = self.registry.graph(*dataset);
-                if (*source as usize) >= g.num_vertices() {
-                    return Err(ServiceError::new(
-                        ErrorKind::Failed,
-                        format!(
-                            "vertex {source} out of range (dataset has {} vertices)",
-                            g.num_vertices()
-                        ),
-                    ));
-                }
-                let scores = with_scratch_for(g.num_vertices(), |scratch| {
-                    tc_apps::recommend_for_with(&g, *source, *k, scratch)
-                });
-                let rows: Vec<Json> = scores
-                    .iter()
-                    .map(|r| {
-                        obj(vec![
-                            ("candidate", u(r.candidate as u64)),
-                            ("common_neighbors", u(r.common_neighbors as u64)),
-                            ("jaccard", Json::Float(r.jaccard)),
-                            ("adamic_adar", Json::Float(r.adamic_adar)),
-                        ])
-                    })
-                    .collect();
-                Ok(vec![
-                    ("dataset".into(), s(dataset.name())),
-                    ("source".into(), u(*source as u64)),
-                    ("candidates".into(), Json::Arr(rows)),
-                ])
-            }
-            Request::Load(target) => {
-                let prep = self.registry.preprocessed(*target);
-                let mut payload = target_members(target);
-                payload.push(("bytes".into(), u(prep.approx_bytes() as u64)));
-                payload.push(("cached".into(), Json::Bool(self.registry.contains(target))));
-                Ok(payload)
-            }
-            Request::Evict(Some(target)) => {
-                let evicted = self.registry.evict(target);
-                let mut payload = target_members(target);
-                payload.push(("evicted".into(), u(evicted as u64)));
-                Ok(payload)
-            }
-            Request::Evict(None) => {
-                let evicted = self.registry.clear();
-                Ok(vec![("evicted".into(), u(evicted as u64))])
-            }
-            Request::Update { dataset, ops } => {
-                // Evaluate the dataset's watchers around the apply (with
-                // the dataset held alone — exact, race-free), then push
-                // one frame per tripped subscription onto its connection.
-                let watchers = self.subs.watchers(*dataset);
-                let (r, fired) = self
-                    .registry
-                    .apply_update_watched(*dataset, ops, &watchers)
-                    .map_err(|e| ServiceError::new(ErrorKind::Failed, e))?;
-                let mut notified = 0u64;
-                for (sub, n) in &fired {
-                    if self.subs.push(*sub, notification_frame(*sub, *dataset, n)) {
-                        notified += 1;
-                    }
-                }
-                Ok(vec![
-                    ("dataset".into(), s(dataset.name())),
-                    ("inserted".into(), u(r.inserted as u64)),
-                    ("deleted".into(), u(r.deleted as u64)),
-                    ("noops".into(), u(r.noops as u64)),
-                    ("rejected".into(), u(r.rejected as u64)),
-                    ("superseded".into(), u(r.superseded as u64)),
-                    ("triangles_delta".into(), Json::Int(r.triangles_delta)),
-                    ("triangles".into(), u(r.triangles)),
-                    ("delta_edges".into(), u(r.delta_edges as u64)),
-                    ("compacted".into(), Json::Bool(r.compacted)),
-                    ("notified".into(), u(notified)),
-                ])
-            }
-            Request::StreamStats(Some(dataset)) => {
-                let info = self.registry.stream_info(*dataset).ok_or_else(|| {
-                    ServiceError::new(
-                        ErrorKind::Failed,
-                        format!(
-                            "dataset \"{}\" has no streaming state; send an update first",
-                            dataset.name()
-                        ),
-                    )
-                })?;
-                Ok(stream_members(&info))
-            }
-            Request::StreamStats(None) => {
-                let rows: Vec<Json> = self
-                    .registry
-                    .stream_infos()
-                    .iter()
-                    .map(|info| Json::Obj(stream_members(info)))
-                    .collect();
-                Ok(vec![("streams".into(), Json::Arr(rows))])
-            }
-            Request::Snapshot => {
-                let streams = self
-                    .registry
-                    .snapshot_now()
-                    .map_err(|e| ServiceError::new(ErrorKind::Failed, e))?;
-                let mut payload = vec![("streams_snapshotted".into(), u(streams as u64))];
-                if let Some(stats) = self.registry.store().and_then(|st| st.stats().ok()) {
-                    payload.push(("snapshot_files".into(), u(stats.snapshots.files as u64)));
-                    payload.push(("snapshot_bytes".into(), u(stats.snapshots.bytes)));
-                    payload.push(("wal_segments".into(), u(stats.wal.segments as u64)));
-                }
-                Ok(payload)
-            }
-            Request::RecoverStats => Err(ServiceError::new(
-                ErrorKind::Failed,
-                "recover-stats is an engine-level op (recovery spans every shard)",
-            )),
-            Request::Subscribe { dataset, predicate } => {
-                let Some(ctx) = ctx else {
-                    return Err(ServiceError::new(
-                        ErrorKind::Failed,
-                        "subscribe requires a client connection to push to",
-                    ));
-                };
-                // Validate watched vertices against the dataset now, so
-                // a typo'd subscription fails loudly instead of sitting
-                // silent forever.
-                let g = self.registry.graph(*dataset);
-                let n = g.num_vertices() as u32;
-                let watched_max = match predicate {
-                    Predicate::SupportBelow { u, v, .. } => Some((*u).max(*v)),
-                    Predicate::ClusteringDelta { vertex, .. } => Some(*vertex),
-                    Predicate::CountCross { .. } => None,
-                };
-                if let Some(vertex) = watched_max.filter(|&vertex| vertex >= n) {
-                    return Err(ServiceError::new(
-                        ErrorKind::Failed,
-                        format!("vertex {vertex} out of range (dataset has {n} vertices)"),
-                    ));
-                }
-                // Subscriptions ride the delta layer: create the stream
-                // (if this dataset was never mutated) and its analytics
-                // state so the first watched batch has a before-value to
-                // evaluate against.
-                let current = self.registry.watch(*dataset, predicate);
-                let sub = self.subs.subscribe(ctx, *dataset, *predicate);
-                Ok(vec![
-                    ("dataset".into(), s(dataset.name())),
-                    ("sub".into(), u(sub)),
-                    ("current".into(), observed_json(current)),
-                ])
-            }
-            Request::Unsubscribe { sub } => {
-                let removed = self.subs.unsubscribe(*sub, ctx.map(|c| c.conn_id));
-                Ok(vec![
-                    ("sub".into(), u(*sub)),
-                    ("removed".into(), Json::Bool(removed)),
-                ])
-            }
-            Request::AnalyticsStats(Some(dataset)) => {
-                let info = self.registry.analytics_info(*dataset).ok_or_else(|| {
-                    ServiceError::new(
-                        ErrorKind::Failed,
-                        format!(
-                            "dataset \"{}\" has no analytics state; subscribe or query it first",
-                            dataset.name()
-                        ),
-                    )
-                })?;
-                Ok(analytics_members(&info, self.subs.active_for(*dataset)))
-            }
-            Request::AnalyticsStats(None) => {
-                let rows: Vec<Json> = self
-                    .registry
-                    .analytics_infos()
-                    .iter()
-                    .map(|info| {
-                        Json::Obj(analytics_members(info, self.subs.active_for(info.dataset)))
-                    })
-                    .collect();
-                Ok(vec![
-                    ("datasets".into(), Json::Arr(rows)),
-                    ("subscriptions".into(), u(self.subs.active() as u64)),
-                    (
-                        "notifications_sent".into(),
-                        u(self.subs.notifications_sent()),
-                    ),
-                ])
-            }
-            Request::Stats => Err(ServiceError::new(
-                ErrorKind::Failed,
-                "stats is an engine-level op (it aggregates every shard)",
-            )),
-            // Shutdown is acknowledged by the connection layer (the
-            // worker pool only sees it if routed in error).
-            Request::Shutdown => Ok(vec![("draining".into(), Json::Bool(true))]),
-        }
-    }
-}
-
-/// The shard-per-core engine: a vector of shard [`Executor`]s plus the
-/// thin routing / aggregation layer over them.
-///
-/// Dataset ops go to `shard_of(dataset)`'s executor; dataset-free
-/// diagnostics (`ping`, bare `sleep`) run on shard 0; admin ops that
-/// must see everything (`stats`, `recover-stats`, `snapshot`, bare
-/// `evict` / `stream-stats` / `analytics-stats`, `unsubscribe`) fan out
-/// across every shard and merge deterministically. The engine itself
-/// holds **no lock** — routing is a pure hash, and fan-outs acquire each
-/// shard's locks one at a time, off the per-dataset hot path.
-pub struct Engine {
-    /// The shards, indexed by [`shard_of`].
-    pub shards: Vec<Arc<Executor>>,
-    /// Static server configuration echoed on `stats`.
-    pub info: ServerInfo,
-    /// Server start time (for the `stats` uptime field).
-    pub started: Instant,
-    /// What startup recovery did, when persistence is enabled — the
-    /// `recover-stats` admin op reports it verbatim. Recovery spans
-    /// every shard (the store is opened once), so the report lives here.
-    pub recovery: Option<tc_persist::RecoveryReport>,
-    /// Connection-level counters (accepted connections, parse failures).
-    pub router: Arc<RouterMetrics>,
-}
-
-impl Engine {
-    /// The shard that must execute `request`: its dataset's owner, or
-    /// shard 0 for dataset-free requests (engine-level fan-outs are
-    /// intercepted in `execute_conn` before the
-    /// shard executor ever sees them, so their nominal shard only
-    /// selects which worker pool runs the fan-out).
-    pub fn route(&self, request: &Request) -> usize {
-        request
-            .dataset()
-            .map_or(0, |d| shard_of(d, self.shards.len()))
-    }
-
-    /// Executes one request, routing it to its owning shard or fanning
-    /// it out, without a connection context.
-    pub fn execute(&self, request: &Request) -> Result<Payload, ServiceError> {
-        self.execute_conn(self.route(request), request, None)
-    }
-
-    /// [`execute`](Self::execute) with the submitting connection
-    /// attached; `shard` is the routing decision (made on the reader
-    /// thread, so the job landed on that shard's queue).
-    pub(crate) fn execute_conn(
-        &self,
-        shard: usize,
-        request: &Request,
-        ctx: Option<&ConnContext>,
-    ) -> Result<Payload, ServiceError> {
+        // A dataset op runs against its dataset's owner.
+        let shard = &self.shards[self.route(request)];
         match request {
             Request::Ping => Ok(vec![
                 ("pong".into(), Json::Bool(true)),
@@ -642,10 +304,253 @@ impl Engine {
                     ("removed".into(), Json::Bool(removed)),
                 ])
             }
-            _ => {
-                let ex = &self.shards[shard.min(self.shards.len() - 1)];
-                ex.execute_conn(request, ctx)
+            Request::Sleep { ms, .. } => {
+                std::thread::sleep(std::time::Duration::from_millis(*ms));
+                Ok(vec![("slept_ms".into(), u(*ms))])
             }
+            Request::Count(target) => {
+                // The triangle count is memoised on the cache entry: the
+                // first `count` per cached prep computes, repeats look up
+                // (and, with persistence on, the memo goes durable too).
+                let (entry, triangles) = shard.registry.count(*target);
+                let directed = entry.prep().directed();
+                let mut payload = target_members(target);
+                payload.push(("nodes".into(), u(directed.num_vertices() as u64)));
+                payload.push(("edges".into(), u(directed.num_edges() as u64)));
+                payload.push(("triangles".into(), u(triangles)));
+                Ok(payload)
+            }
+            Request::Simulate(target, algo) => {
+                let prep = shard.registry.preprocessed(*target);
+                let run = run_named_kernel(algo, &prep, &self.gpu).ok_or_else(|| {
+                    ServiceError::new(
+                        ErrorKind::UnknownAlgo,
+                        format!(
+                            "unknown algo \"{algo}\" (expected one of {})",
+                            ALGO_NAMES.join(", ")
+                        ),
+                    )
+                })?;
+                let mut payload = target_members(target);
+                payload.push(("algo".into(), s(algo.clone())));
+                payload.push(("triangles".into(), u(run.triangles)));
+                payload.push(("kernel_cycles".into(), u(run.metrics.kernel_cycles)));
+                payload.push(("kernel_ms".into(), Json::Float(run.kernel_ms(&self.gpu))));
+                payload.push(("blocks".into(), u(run.metrics.blocks as u64)));
+                payload.push(("warps".into(), u(run.metrics.warps as u64)));
+                payload.push(("global_segments".into(), u(run.metrics.global_segments)));
+                payload.push((
+                    "shared_transactions".into(),
+                    u(run.metrics.shared_transactions),
+                ));
+                payload.push((
+                    "barrier_wait_cycles".into(),
+                    u(run.metrics.barrier_wait_cycles),
+                ));
+                Ok(payload)
+            }
+            Request::Ktruss(dataset) => {
+                // Streamed datasets read from the maintained analytics
+                // state: the support pass is already incremental,
+                // leaving only the deterministic peel. The
+                // differential suite pins this bit-identical to the full
+                // decomposition below.
+                let supports = shard
+                    .registry
+                    .with_analytics(*dataset, |a, g| a.supports_in_edge_order(g));
+                let trussness = match supports {
+                    Some((g, supports)) => tc_apps::ktruss_from_supports(&g, supports),
+                    None => {
+                        let g = shard.registry.graph(*dataset);
+                        with_scratch_for(g.num_vertices(), |scratch| {
+                            tc_apps::ktruss_decomposition_with(&g, scratch)
+                        })
+                    }
+                };
+                // Deterministic summary: edges per truss level, ascending.
+                let mut levels: BTreeMap<u32, u64> = BTreeMap::new();
+                for &k in trussness.values() {
+                    *levels.entry(k).or_insert(0) += 1;
+                }
+                let max_truss = levels.keys().next_back().copied().unwrap_or(0);
+                let level_rows: Vec<Json> = levels
+                    .into_iter()
+                    .map(|(k, edges)| obj(vec![("k", u(k as u64)), ("edges", u(edges))]))
+                    .collect();
+                Ok(vec![
+                    ("dataset".into(), s(dataset.name())),
+                    ("max_truss".into(), u(max_truss as u64)),
+                    ("levels".into(), Json::Arr(level_rows)),
+                ])
+            }
+            Request::Clustering(dataset) => {
+                // Both coefficients fold one set of per-vertex counts.
+                // Streamed datasets read the maintained counts — no
+                // intersections at all, pinned bit-identical to the
+                // full recompute by the differential suite; static ones
+                // count once.
+                let maintained = shard
+                    .registry
+                    .with_analytics(*dataset, |a, _| a.local_counts().to_vec());
+                let (g, counts) = match maintained {
+                    Some(maintained) => maintained,
+                    None => {
+                        let g = shard.registry.graph(*dataset);
+                        let counts = with_scratch_for(g.num_vertices(), |scratch| {
+                            tc_apps::triangles_per_vertex_with(&g, scratch)
+                        });
+                        (g, counts)
+                    }
+                };
+                let local = tc_apps::coefficients_from_counts(&g, &counts);
+                let global = tc_apps::global_from_counts(&g, &counts);
+                let mean_local = if local.is_empty() {
+                    0.0
+                } else {
+                    local.iter().sum::<f64>() / local.len() as f64
+                };
+                Ok(vec![
+                    ("dataset".into(), s(dataset.name())),
+                    ("nodes".into(), u(g.num_vertices() as u64)),
+                    ("global_coefficient".into(), Json::Float(global)),
+                    ("mean_local_coefficient".into(), Json::Float(mean_local)),
+                ])
+            }
+            Request::Recommend { dataset, source, k } => {
+                let g = shard.registry.graph(*dataset);
+                if (*source as usize) >= g.num_vertices() {
+                    return Err(ServiceError::new(
+                        ErrorKind::Failed,
+                        format!(
+                            "vertex {source} out of range (dataset has {} vertices)",
+                            g.num_vertices()
+                        ),
+                    ));
+                }
+                let scores = with_scratch_for(g.num_vertices(), |scratch| {
+                    tc_apps::recommend_for_with(&g, *source, *k, scratch)
+                });
+                let rows: Vec<Json> = scores
+                    .iter()
+                    .map(|r| {
+                        obj(vec![
+                            ("candidate", u(r.candidate as u64)),
+                            ("common_neighbors", u(r.common_neighbors as u64)),
+                            ("jaccard", Json::Float(r.jaccard)),
+                            ("adamic_adar", Json::Float(r.adamic_adar)),
+                        ])
+                    })
+                    .collect();
+                Ok(vec![
+                    ("dataset".into(), s(dataset.name())),
+                    ("source".into(), u(*source as u64)),
+                    ("candidates".into(), Json::Arr(rows)),
+                ])
+            }
+            Request::Load(target) => {
+                let prep = shard.registry.preprocessed(*target);
+                let mut payload = target_members(target);
+                payload.push(("bytes".into(), u(prep.approx_bytes() as u64)));
+                payload.push(("cached".into(), Json::Bool(shard.registry.contains(target))));
+                Ok(payload)
+            }
+            Request::Evict(Some(target)) => {
+                let evicted = shard.registry.evict(target);
+                let mut payload = target_members(target);
+                payload.push(("evicted".into(), u(evicted as u64)));
+                Ok(payload)
+            }
+            Request::Update { dataset, ops } => {
+                // Evaluate the dataset's watchers around the apply (with
+                // the dataset held alone — exact, race-free), then push
+                // one frame per tripped subscription onto its connection.
+                let watchers = shard.subs.watchers(*dataset);
+                let (r, fired) = shard
+                    .registry
+                    .apply_update_watched(*dataset, ops, &watchers)
+                    .map_err(|e| ServiceError::new(ErrorKind::Failed, e))?;
+                let mut notified = 0u64;
+                for (sub, n) in &fired {
+                    if shard.subs.push(*sub, notification_frame(*sub, *dataset, n)) {
+                        notified += 1;
+                    }
+                }
+                Ok(vec![
+                    ("dataset".into(), s(dataset.name())),
+                    ("inserted".into(), u(r.inserted as u64)),
+                    ("deleted".into(), u(r.deleted as u64)),
+                    ("noops".into(), u(r.noops as u64)),
+                    ("rejected".into(), u(r.rejected as u64)),
+                    ("superseded".into(), u(r.superseded as u64)),
+                    ("triangles_delta".into(), Json::Int(r.triangles_delta)),
+                    ("triangles".into(), u(r.triangles)),
+                    ("delta_edges".into(), u(r.delta_edges as u64)),
+                    ("compacted".into(), Json::Bool(r.compacted)),
+                    ("notified".into(), u(notified)),
+                ])
+            }
+            Request::StreamStats(Some(dataset)) => {
+                let info = shard.registry.stream_info(*dataset).ok_or_else(|| {
+                    ServiceError::new(
+                        ErrorKind::Failed,
+                        format!(
+                            "dataset \"{}\" has no streaming state; send an update first",
+                            dataset.name()
+                        ),
+                    )
+                })?;
+                Ok(stream_members(&info))
+            }
+            Request::Subscribe { dataset, predicate } => {
+                let Some(ctx) = ctx else {
+                    return Err(ServiceError::new(
+                        ErrorKind::Failed,
+                        "subscribe requires a client connection to push to",
+                    ));
+                };
+                // Validate watched vertices against the dataset now, so
+                // a typo'd subscription fails loudly instead of sitting
+                // silent forever.
+                let g = shard.registry.graph(*dataset);
+                let n = g.num_vertices() as u32;
+                let watched_max = match predicate {
+                    Predicate::SupportBelow { u, v, .. } => Some((*u).max(*v)),
+                    Predicate::ClusteringDelta { vertex, .. } => Some(*vertex),
+                    Predicate::CountCross { .. } => None,
+                };
+                if let Some(vertex) = watched_max.filter(|&vertex| vertex >= n) {
+                    return Err(ServiceError::new(
+                        ErrorKind::Failed,
+                        format!("vertex {vertex} out of range (dataset has {n} vertices)"),
+                    ));
+                }
+                // Subscriptions ride the delta layer: create the stream
+                // (if this dataset was never mutated) and its analytics
+                // state so the first watched batch has a before-value to
+                // evaluate against.
+                let current = shard.registry.watch(*dataset, predicate);
+                let sub = shard.subs.subscribe(ctx, *dataset, *predicate);
+                Ok(vec![
+                    ("dataset".into(), s(dataset.name())),
+                    ("sub".into(), u(sub)),
+                    ("current".into(), observed_json(current)),
+                ])
+            }
+            Request::AnalyticsStats(Some(dataset)) => {
+                let info = shard.registry.analytics_info(*dataset).ok_or_else(|| {
+                    ServiceError::new(
+                        ErrorKind::Failed,
+                        format!(
+                            "dataset \"{}\" has no analytics state; subscribe or query it first",
+                            dataset.name()
+                        ),
+                    )
+                })?;
+                Ok(analytics_members(&info, shard.subs.active_for(*dataset)))
+            }
+            // Shutdown is acknowledged by the connection layer (the
+            // worker pool only sees it if routed in error).
+            Request::Shutdown => Ok(vec![("draining".into(), Json::Bool(true))]),
         }
     }
 
@@ -695,14 +600,15 @@ impl Engine {
             .shards
             .iter()
             .zip(regs.iter())
-            .map(|(ex, reg)| {
+            .enumerate()
+            .map(|(i, (ex, reg))| {
                 let m = &ex.metrics;
                 let requests: u64 = Op::ALL
                     .iter()
                     .map(|op| m.op(*op).requests.load(Ordering::Relaxed))
                     .sum();
                 obj(vec![
-                    ("shard", u(ex.shard as u64)),
+                    ("shard", u(i as u64)),
                     ("requests", u(requests)),
                     (
                         "queue",
@@ -892,29 +798,16 @@ mod tests {
     use tc_core::model::ModelParams;
     use tc_datasets::Dataset;
 
-    fn executor() -> Executor {
-        Executor {
-            shard: 0,
-            gpu: GpuConfig::titan_xp_like(),
-            registry: Arc::new(GraphRegistry::new(
-                usize::MAX,
-                ModelParams::default_analytic(),
-            )),
-            metrics: Arc::new(ServiceMetrics::default()),
-            subs: Arc::new(SubscriptionRegistry::new()),
-        }
-    }
-
     fn engine(shards: usize) -> Engine {
         Engine {
             shards: (0..shards)
-                .map(|shard| {
-                    Arc::new(Executor {
-                        shard,
-                        ..executor()
-                    })
+                .map(|_| Shard {
+                    registry: GraphRegistry::new(usize::MAX, ModelParams::default_analytic()),
+                    metrics: ServiceMetrics::default(),
+                    subs: SubscriptionRegistry::new(),
                 })
                 .collect(),
+            gpu: GpuConfig::titan_xp_like(),
             info: ServerInfo {
                 shards,
                 workers: 1,
@@ -923,18 +816,18 @@ mod tests {
             },
             started: Instant::now(),
             recovery: None,
-            router: Arc::new(RouterMetrics::default()),
+            router: RouterMetrics::default(),
         }
     }
 
-    fn run(ex: &Executor, line: &str) -> Result<Payload, ServiceError> {
-        ex.execute(&parse_request(line).unwrap().request)
+    fn run(en: &Engine, line: &str) -> Result<Payload, ServiceError> {
+        en.execute(&parse_request(line).unwrap().request)
     }
 
     #[test]
     fn count_matches_direct_cpu_count() {
-        let ex = executor();
-        let payload = run(&ex, r#"{"op":"count","dataset":"email-Eucore"}"#).unwrap();
+        let en = engine(1);
+        let payload = run(&en, r#"{"op":"count","dataset":"email-Eucore"}"#).unwrap();
         let triangles = payload
             .iter()
             .find(|(k, _)| k == "triangles")
@@ -947,10 +840,10 @@ mod tests {
 
     #[test]
     fn simulate_agrees_with_count_on_triangles() {
-        let ex = executor();
-        let count = run(&ex, r#"{"op":"count","dataset":"email-Eucore"}"#).unwrap();
+        let en = engine(1);
+        let count = run(&en, r#"{"op":"count","dataset":"email-Eucore"}"#).unwrap();
         let sim = run(
-            &ex,
+            &en,
             r#"{"op":"simulate","dataset":"email-Eucore","algo":"hu"}"#,
         )
         .unwrap();
@@ -966,9 +859,9 @@ mod tests {
 
     #[test]
     fn unknown_algo_is_reported() {
-        let ex = executor();
+        let en = engine(1);
         let err = run(
-            &ex,
+            &en,
             r#"{"op":"simulate","dataset":"email-Eucore","algo":"warp9"}"#,
         )
         .unwrap_err();
@@ -977,9 +870,9 @@ mod tests {
 
     #[test]
     fn recommend_rejects_out_of_range_source() {
-        let ex = executor();
+        let en = engine(1);
         let err = run(
-            &ex,
+            &en,
             r#"{"op":"recommend","dataset":"email-Eucore","source":999999}"#,
         )
         .unwrap_err();
@@ -988,7 +881,7 @@ mod tests {
 
     #[test]
     fn update_shifts_count_and_ktruss_sees_it() {
-        let ex = executor();
+        let en = engine(1);
         let get = |p: &Payload, k: &str| {
             p.iter()
                 .find(|(key, _)| key == k)
@@ -996,14 +889,14 @@ mod tests {
                 .unwrap()
         };
         let before = get(
-            &run(&ex, r#"{"op":"count","dataset":"email-Eucore"}"#).unwrap(),
+            &run(&en, r#"{"op":"count","dataset":"email-Eucore"}"#).unwrap(),
             "triangles",
         );
         // Delete the first edge of the graph; count must drop or stay.
-        let g = ex.registry.graph(Dataset::EmailEucore);
+        let g = en.shards[0].registry.graph(Dataset::EmailEucore);
         let (u, v) = g.edges().next().unwrap();
         let upd = run(
-            &ex,
+            &en,
             &format!(r#"{{"op":"update","dataset":"email-Eucore","edges":[[{u},{v},"-"]]}}"#),
         )
         .unwrap();
@@ -1012,12 +905,12 @@ mod tests {
         assert!(after <= before);
         // A fresh count query sees the mutated graph...
         let counted = get(
-            &run(&ex, r#"{"op":"count","dataset":"email-Eucore"}"#).unwrap(),
+            &run(&en, r#"{"op":"count","dataset":"email-Eucore"}"#).unwrap(),
             "triangles",
         );
         assert_eq!(counted, after);
         // ...and so does an application query (one fewer edge).
-        let ktruss = run(&ex, r#"{"op":"ktruss","dataset":"email-Eucore"}"#).unwrap();
+        let ktruss = run(&en, r#"{"op":"ktruss","dataset":"email-Eucore"}"#).unwrap();
         let Json::Arr(rows) = ktruss
             .iter()
             .find(|(k, _)| k == "levels")
@@ -1035,21 +928,21 @@ mod tests {
 
     #[test]
     fn stream_stats_requires_a_stream_for_named_dataset() {
-        let ex = executor();
-        let err = run(&ex, r#"{"op":"stream-stats","dataset":"email-Eucore"}"#).unwrap_err();
+        let en = engine(1);
+        let err = run(&en, r#"{"op":"stream-stats","dataset":"email-Eucore"}"#).unwrap_err();
         assert_eq!(err.kind, ErrorKind::Failed);
-        let all = run(&ex, r#"{"op":"stream-stats"}"#).unwrap();
+        let all = run(&en, r#"{"op":"stream-stats"}"#).unwrap();
         let Json::Arr(rows) = &all[0].1 else {
             panic!("streams must be an array");
         };
         assert!(rows.is_empty());
 
         run(
-            &ex,
+            &en,
             r#"{"op":"update","dataset":"email-Eucore","edges":[[0,0]]}"#,
         )
         .unwrap();
-        let one = run(&ex, r#"{"op":"stream-stats","dataset":"email-Eucore"}"#).unwrap();
+        let one = run(&en, r#"{"op":"stream-stats","dataset":"email-Eucore"}"#).unwrap();
         let batches = one
             .iter()
             .find(|(k, _)| k == "batches")
@@ -1117,8 +1010,8 @@ mod tests {
 
     #[test]
     fn ktruss_levels_sum_to_edges() {
-        let ex = executor();
-        let payload = run(&ex, r#"{"op":"ktruss","dataset":"email-Eucore"}"#).unwrap();
+        let en = engine(1);
+        let payload = run(&en, r#"{"op":"ktruss","dataset":"email-Eucore"}"#).unwrap();
         let levels = payload
             .iter()
             .find(|(k, _)| k == "levels")

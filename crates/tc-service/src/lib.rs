@@ -32,12 +32,13 @@
 //!   subscription ops `subscribe`, `unsubscribe`; admin ops `load`,
 //!   `evict`, `stats`, `stream-stats`, `analytics-stats`, `ping`,
 //!   `sleep`, `shutdown` — plus the push-notification frame format.
-//! - [`exec`] — shard-local query execution ([`exec::Executor`]) under
-//!   the fan-out/aggregate [`exec::Engine`] (routing, `stats` rollup,
-//!   engine-wide admin ops). For streamed datasets, `ktruss` and
-//!   `clustering` read from the incrementally maintained `tc-analytics`
-//!   state (bit-identical to a full recompute, at a fraction of the
-//!   cost).
+//! - [`exec`] — query execution: the [`exec::Engine`] runs each dataset
+//!   op against its owning [`exec::Shard`] (registry slice, metrics,
+//!   subscriptions) and fans engine-wide admin ops (`stats` rollup,
+//!   bare `evict`, …) out across every shard. For streamed datasets,
+//!   `ktruss` and `clustering` read from the incrementally maintained
+//!   `tc-analytics` state (bit-identical to a full recompute, at a
+//!   fraction of the cost).
 //! - [`subs`] — live push subscriptions: predicates from `tc-analytics`
 //!   bound to connections, evaluated exactly around every applied
 //!   batch, delivered as `{"push":...}` frames on the subscriber's

@@ -49,7 +49,7 @@
 //! and join every thread. In-flight requests always receive their
 //! responses.
 
-use crate::exec::{Engine, Executor, ServerInfo};
+use crate::exec::{Engine, ServerInfo, Shard};
 use crate::json::Json;
 use crate::metrics::{RouterMetrics, ServiceMetrics};
 use crate::protocol::{
@@ -367,24 +367,9 @@ impl ServerHandle {
     }
 
     /// The sharded engine (shared with the running threads): per-shard
-    /// executors plus the router-level counters.
+    /// state plus the router-level counters.
     pub fn engine(&self) -> &Arc<Engine> {
         &self.engine
-    }
-
-    /// How many shards the engine was partitioned into.
-    pub fn shards(&self) -> usize {
-        self.engine.shards.len()
-    }
-
-    /// Shard `i`'s metrics (shared with that shard's workers).
-    pub fn shard_metrics(&self, shard: usize) -> &Arc<ServiceMetrics> {
-        &self.engine.shards[shard].metrics
-    }
-
-    /// Shard `i`'s registry slice (shared with that shard's workers).
-    pub fn shard_registry(&self, shard: usize) -> &Arc<GraphRegistry> {
-        &self.engine.shards[shard].registry
     }
 
     /// Requests a graceful drain and waits for every thread to exit.
@@ -486,7 +471,7 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         None => (0..shard_count).map(|_| None).collect(),
     };
 
-    // Per-shard executors: registry slice (budget split evenly, with the
+    // Per-shard state: registry slice (budget split evenly, with the
     // remainder spread over the first shards), metrics, and
     // subscription slice. Only the persistence store and the
     // subscription-id counter are shared — neither sits on a query path.
@@ -496,24 +481,19 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     let mut shards = Vec::with_capacity(shard_count);
     for (shard, recovered_part) in per_shard_recovered.iter_mut().enumerate() {
         let budget = budget_base + usize::from(shard < budget_extra);
-        let registry = Arc::new(GraphRegistry::with_persistence(
-            budget,
-            params.clone(),
-            store.clone(),
-        ));
+        let registry = GraphRegistry::with_persistence(budget, params.clone(), store.clone());
         if let Some(rec) = recovered_part.take() {
             registry.install_recovered(rec);
         }
-        shards.push(Arc::new(Executor {
-            shard,
-            gpu: config.gpu.clone(),
+        shards.push(Shard {
             registry,
-            metrics: Arc::new(ServiceMetrics::default()),
-            subs: Arc::new(SubscriptionRegistry::with_shared_ids(Arc::clone(&sub_ids))),
-        }));
+            metrics: ServiceMetrics::default(),
+            subs: SubscriptionRegistry::with_shared_ids(Arc::clone(&sub_ids)),
+        });
     }
     let engine = Arc::new(Engine {
         shards,
+        gpu: config.gpu.clone(),
         info: ServerInfo {
             shards: shard_count,
             workers: config.workers.max(1),
@@ -522,7 +502,7 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
         },
         started: Instant::now(),
         recovery,
-        router: Arc::new(RouterMetrics::default()),
+        router: RouterMetrics::default(),
     });
     let shutdown = Arc::new(AtomicBool::new(false));
 
@@ -618,9 +598,9 @@ fn serve(
     // With the workers joined no batch can still be applying, so this
     // final snapshot captures the exact served state; the next startup
     // warm-loads it without replaying the (now fully covered) WAL.
-    for executor in &engine.shards {
-        if executor.registry.store().is_some() {
-            let _ = executor.registry.snapshot_now();
+    for shard in &engine.shards {
+        if shard.registry.store().is_some() {
+            let _ = shard.registry.snapshot_now();
         }
     }
     // Read-side only: blocked readers wake with EOF, while responses the
@@ -658,7 +638,7 @@ fn worker_loop(queue: &JobQueue, engine: &Engine, shard: usize) {
             metrics.record_completion(op, waited.as_micros() as u64, true);
             error_response(job.id.as_ref(), Some(op), &err)
         } else {
-            let result = engine.execute_conn(shard, &job.request, ctx.as_ref());
+            let result = engine.execute_conn(&job.request, ctx.as_ref());
             let latency_us = job.enqueued.elapsed().as_micros() as u64;
             match result {
                 Ok(payload) => {
@@ -735,8 +715,8 @@ fn connection_loop(
             // fans out. This also drops the registries' clones of `tx`,
             // which (with ours, dropped here) lets the writer drain what
             // is owed and exit.
-            for executor in &engine.shards {
-                executor.subs.drop_connection(conn_id);
+            for shard in &engine.shards {
+                shard.subs.drop_connection(conn_id);
             }
         });
     let Ok(reader_thread) = reader_thread else {
