@@ -8,10 +8,8 @@
 //! fig11, fig12, fig13, fig14, fig15, fig16, ablation, algorithms,
 //! trust-grid, serve-bench, stream-bench, cpu-bench, all}. `--small`
 //! substitutes the small dataset suite for a quick smoke run;
-//! `BENCH_cpu.json` is only rewritten by full `cpu-bench` runs.
-//! `--shards=1,2,4` and `--clients=N` shape `serve-bench`'s contended
-//! shard sweep. Any other flag, or a malformed value, exits 2 with the
-//! usage line.
+//! `BENCH_cpu.json` is only rewritten by full `cpu-bench` runs. Any
+//! other flag exits 2 with the usage line.
 //!
 //! Experiment grids and trace generation run on all cores by default;
 //! set `TC_PIPELINE_THREADS=1` for a fully serial harness. Each
@@ -28,40 +26,18 @@ struct Args {
     /// Experiment ids, in the order given.
     ids: Vec<String>,
     small: bool,
-    /// `--shards=1,2,4` shard counts for the `serve-bench` contended
-    /// sweep (None = 1,2,4; 1,2 with `--small`).
-    shards: Option<Vec<usize>>,
-    /// `--clients=N` concurrency for the `serve-bench` contended sweep
-    /// (None = 8).
-    clients: Option<usize>,
 }
 
 /// Parses the arguments after the program name. A flag outside the
-/// usage line, or a flag value that does not parse, is an error: a typo
-/// must never run the default sweep and overwrite a committed BENCH
-/// file.
+/// usage line is an error: a typo must never run the full sweep and
+/// overwrite a committed BENCH file.
 fn parse_args(args: &[String]) -> Result<Args, String> {
     let mut parsed = Args::default();
     for arg in args {
-        let Some(flag) = arg.strip_prefix("--") else {
-            parsed.ids.push(arg.clone());
-            continue;
-        };
-        match flag.split_once('=') {
-            None if flag == "small" => parsed.small = true,
-            Some(("shards", list)) => {
-                let counts: Option<Vec<usize>> =
-                    list.split(',').map(|c| c.trim().parse().ok()).collect();
-                match counts {
-                    Some(c) if c.iter().all(|&n| n >= 1) => parsed.shards = Some(c),
-                    _ => return Err("--shards wants a comma-separated list of counts >= 1".into()),
-                }
-            }
-            Some(("clients", n)) => match n.parse() {
-                Ok(n) if n >= 1 => parsed.clients = Some(n),
-                _ => return Err("--clients wants a count >= 1".into()),
-            },
-            _ => return Err(format!("unknown flag {arg}")),
+        match arg.strip_prefix("--") {
+            None => parsed.ids.push(arg.clone()),
+            Some("small") => parsed.small = true,
+            Some(_) => return Err(format!("unknown flag {arg}")),
         }
     }
     if parsed.ids.is_empty() {
@@ -72,8 +48,7 @@ fn parse_args(args: &[String]) -> Result<Args, String> {
 
 fn usage() -> String {
     format!(
-        "usage: experiments <{}|serve-bench|stream-bench|cpu-bench|all> \
-         [--small] [--shards=1,2,4] [--clients=N]",
+        "usage: experiments <{}|serve-bench|stream-bench|cpu-bench|all> [--small]",
         ALL.join("|")
     )
 }
@@ -201,13 +176,7 @@ impl Cli {
             "serve-bench" => {
                 let rows = serve_bench::run(self.args.small);
                 println!("{}", serve_bench::render(&rows));
-                let shard_counts = match &self.args.shards {
-                    Some(counts) => counts.clone(),
-                    None if self.args.small => vec![1, 2],
-                    None => vec![1, 2, 4],
-                };
-                let clients = self.args.clients.unwrap_or(8);
-                let contended = serve_bench::run_contended(&shard_counts, clients, self.args.small);
+                let contended = serve_bench::run_contended(self.args.small);
                 println!("{}", serve_bench::render_contended(&contended));
                 let json = serve_bench::to_json_with_contended(&rows, &contended);
                 return self.write_bench("BENCH_service.json", &json);
@@ -308,46 +277,28 @@ mod tests {
 
     #[test]
     fn parses_ids_and_every_flag() {
-        let args = parse(&[
-            "serve-bench",
-            "--small",
-            "--shards=1, 2",
-            "--clients=4",
-            "cpu-bench",
-        ])
-        .unwrap();
+        let args = parse(&["serve-bench", "--small", "cpu-bench"]).unwrap();
         assert_eq!(
             args,
             Args {
                 ids: vec!["serve-bench".into(), "cpu-bench".into()],
                 small: true,
-                shards: Some(vec![1, 2]),
-                clients: Some(4),
             }
         );
     }
 
     #[test]
     fn rejects_unknown_flags() {
-        for flag in ["--smal", "--small=1", "--kernels=merge", "--clients", "--"] {
+        for flag in [
+            "--smal",
+            "--small=1",
+            "--kernels=merge",
+            "--clients",
+            "--",
+            "--shards=1,2",
+            "--clients=4",
+        ] {
             assert!(parse(&["fig7", flag]).is_err(), "{flag} accepted");
-        }
-    }
-
-    #[test]
-    fn rejects_non_numeric_clients() {
-        assert!(parse(&["serve-bench", "--clients=abc"]).is_err());
-    }
-
-    #[test]
-    fn rejects_zero_clients() {
-        assert!(parse(&["serve-bench", "--clients=0"]).is_err());
-    }
-
-    #[test]
-    fn rejects_bad_shard_lists() {
-        for list in ["--shards=", "--shards=1,x", "--shards=0,2", "--shards=1,,2"] {
-            assert!(parse(&["serve-bench", list]).is_err(), "{list} accepted");
         }
     }
 

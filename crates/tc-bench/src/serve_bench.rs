@@ -381,13 +381,19 @@ fn contended_line(suite: &[Dataset], cumulative: &[u64], rng: &mut StdRng) -> St
     }
 }
 
-/// Runs the contended many-dataset workload once per shard count. Every
-/// pass replays the identical seeded request streams against a fresh
-/// server, so rows differ only in how the engine was partitioned.
-pub fn run_contended(shard_counts: &[usize], clients: usize, small: bool) -> Vec<ContendedRow> {
+/// Runs the contended many-dataset workload once per shard count: 1, 2
+/// and 4 shards under 8 clients, or 1 and 2 under 4 clients when
+/// `small`. Every pass replays the identical seeded request streams
+/// against a fresh server, so rows differ only in how the engine was
+/// partitioned.
+pub fn run_contended(small: bool) -> Vec<ContendedRow> {
     let suite = contended_suite(small);
     let cumulative = zipf_cumulative(suite.len());
-    let per_client = if small { 20 } else { 120 };
+    let (shard_counts, clients, per_client): (&[usize], usize, usize) = if small {
+        (&[1, 2], 4, 20)
+    } else {
+        (&[1, 2, 4], 8, 120)
+    };
 
     shard_counts
         .iter()

@@ -46,7 +46,7 @@ echo "==> analytics smoke test (push subscriptions, incremental read paths)"
 cargo run --release -q --example analytics_demo
 
 echo "==> serve-bench smoke test (cold/warm/restart passes + contended shard sweep)"
-cargo run --release -q -p tc-bench --bin experiments -- serve-bench --small --shards=1,2 --clients=4
+cargo run --release -q -p tc-bench --bin experiments -- serve-bench --small
 
 echo "==> stream smoke test (incremental vs recompute, small suite)"
 cargo run --release -q -p tc-bench --bin experiments -- stream-bench --small
