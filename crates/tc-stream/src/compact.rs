@@ -5,8 +5,8 @@
 //! compaction budget, [`DynamicGraph`](crate::DynamicGraph) clones the
 //! *inputs* of the rebuild — an `Arc` of the current base (O(1)) and the
 //! overlay — and submits them as a [`CompactionJob`]. The worker folds
-//! them into a new CSR (and re-runs preprocessing if configured) while
-//! the graph keeps absorbing batches, journaling every committed change.
+//! them into a new CSR while the graph keeps absorbing batches,
+//! journaling every committed change.
 //! At install time the journal is replayed against the new base to
 //! rebuild the overlay: the journal is a valid operation sequence whose
 //! starting state is exactly the state the job froze, so each entry's
@@ -19,7 +19,6 @@ use crate::delta::DeltaAdjacency;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use tc_core::{PreprocessResult, Preprocessor};
 use tc_graph::layered::LayeredNeighbors;
 use tc_graph::{csr_from_sorted_lists, CsrGraph};
 
@@ -28,14 +27,12 @@ pub(crate) struct CompactionJob {
     pub(crate) epoch: u64,
     pub(crate) base: Arc<CsrGraph>,
     pub(crate) delta: DeltaAdjacency,
-    pub(crate) preprocessor: Option<Preprocessor>,
 }
 
 /// A finished rebuild, ready to install.
 pub(crate) struct CompactionDone {
     pub(crate) epoch: u64,
     pub(crate) base: Arc<CsrGraph>,
-    pub(crate) prep: Option<Arc<PreprocessResult>>,
 }
 
 /// Folds `base` + `delta` into a standalone CSR. Identical to
@@ -66,12 +63,9 @@ impl Compactor {
             .name("tc-stream-compactor".into())
             .spawn(move || {
                 for job in job_rx {
-                    let folded = fold(&job.base, &job.delta);
-                    let prep = job.preprocessor.map(|p| Arc::new(p.run(&folded)));
                     let done = CompactionDone {
                         epoch: job.epoch,
-                        base: Arc::new(folded),
-                        prep,
+                        base: Arc::new(fold(&job.base, &job.delta)),
                     };
                     if done_tx.send(done).is_err() {
                         break;

@@ -7,7 +7,6 @@ use crate::delta::{DeltaAdjacency, Layer};
 use std::collections::HashMap;
 use std::sync::Arc;
 use tc_algos::engine::{self, Scratch};
-use tc_core::{PreprocessResult, Preprocessor};
 use tc_graph::layered::{merge_intersection_count, LayeredNeighbors};
 use tc_graph::{csr_from_sorted_lists, CsrGraph, VertexId};
 
@@ -172,10 +171,10 @@ pub struct StreamSnapshot {
 /// per edge of the whole graph.
 ///
 /// When the overlay outgrows [`CompactionPolicy::max_delta_edges`], the
-/// layered view is folded into a fresh base CSR and, if a
-/// [`Preprocessor`] is configured, the paper's A-direction/A-order
-/// preprocessing is re-run on the new base so downstream consumers (GPU
-/// kernels, the `tc-service` registry) get a fresh oriented variant.
+/// layered view is folded into a fresh base CSR. Preprocessed variants
+/// are not kept here: the `tc-service` registry drops a streamed
+/// dataset's variants on every update and recomputes them from
+/// [`materialize`](DynamicGraph::materialize) on demand.
 ///
 /// # Determinism
 ///
@@ -192,8 +191,6 @@ pub struct DynamicGraph {
     triangles: u64,
     num_edges: usize,
     policy: CompactionPolicy,
-    preprocessor: Option<Preprocessor>,
-    prep: Option<Arc<PreprocessResult>>,
     counters: StreamCounters,
     /// Reusable intersection working memory for the per-edge counting
     /// path (pure cache; cloning a `DynamicGraph` starts it cold).
@@ -225,8 +222,6 @@ impl Clone for DynamicGraph {
             triangles: self.triangles,
             num_edges: self.num_edges,
             policy: self.policy,
-            preprocessor: self.preprocessor.clone(),
-            prep: self.prep.clone(),
             counters: self.counters,
             scratch: Scratch::new(),
             compactor: None,
@@ -257,8 +252,6 @@ impl DynamicGraph {
             triangles,
             num_edges,
             policy,
-            preprocessor: None,
-            prep: None,
             counters: StreamCounters::default(),
             scratch: Scratch::new(),
             compactor: None,
@@ -271,15 +264,6 @@ impl DynamicGraph {
     /// Overrides the compaction policy.
     pub fn policy(mut self, policy: CompactionPolicy) -> Self {
         self.policy = policy;
-        self
-    }
-
-    /// Re-runs this preprocessing pipeline on every compacted base (and
-    /// once now, so [`preprocessed`](DynamicGraph::preprocessed) is
-    /// immediately available).
-    pub fn preprocess_on_compaction(mut self, preprocessor: Preprocessor) -> Self {
-        self.prep = Some(Arc::new(preprocessor.run(&self.base)));
-        self.preprocessor = Some(preprocessor);
         self
     }
 
@@ -385,14 +369,6 @@ impl DynamicGraph {
     /// The base snapshot (current as of the last compaction).
     pub fn base(&self) -> &CsrGraph {
         &self.base
-    }
-
-    /// The preprocessed variant of the base snapshot, refreshed on every
-    /// compaction. `None` unless
-    /// [`preprocess_on_compaction`](DynamicGraph::preprocess_on_compaction)
-    /// configured a pipeline.
-    pub fn preprocessed(&self) -> Option<&Arc<PreprocessResult>> {
-        self.prep.as_ref()
     }
 
     /// Approximate resident bytes: base CSR plus overlay.
@@ -664,9 +640,6 @@ impl DynamicGraph {
         self.delta.clear();
         self.journal.clear();
         self.counters.compactions += 1;
-        if let Some(pre) = &self.preprocessor {
-            self.prep = Some(Arc::new(pre.run(&self.base)));
-        }
     }
 
     /// Freezes the current `(base, delta)` pair and submits it to the
@@ -681,7 +654,6 @@ impl DynamicGraph {
             epoch: self.epoch,
             base: Arc::clone(&self.base),
             delta: self.delta.clone(),
-            preprocessor: self.preprocessor.clone(),
         });
         self.inflight = Some(self.epoch);
         debug_assert!(self.journal.is_empty());
@@ -695,9 +667,6 @@ impl DynamicGraph {
     fn install(&mut self, done: crate::compact::CompactionDone) {
         debug_assert_eq!(Some(done.epoch), self.inflight, "install out of order");
         self.base = done.base;
-        if done.prep.is_some() {
-            self.prep = done.prep;
-        }
         let mut delta = DeltaAdjacency::new();
         for &(u, v, inserted) in &self.journal {
             let in_base = self.base.has_edge(u, v);
@@ -714,9 +683,8 @@ impl DynamicGraph {
     }
 
     /// Captures this stream's observable state as a serializable
-    /// [`StreamSnapshot`]. The preprocessor attachment and the scratch
-    /// cache are deliberately excluded: the former is reattached by the
-    /// owner on restore, the latter is a pure cache.
+    /// [`StreamSnapshot`]. The scratch cache is deliberately excluded:
+    /// it is a pure cache.
     pub fn snapshot(&self) -> StreamSnapshot {
         StreamSnapshot {
             base: self.base.as_ref().clone(),
@@ -775,8 +743,6 @@ impl DynamicGraph {
             triangles: snap.triangles,
             num_edges: snap.num_edges,
             policy: CompactionPolicy::with_budget(snap.max_delta_edges),
-            preprocessor: None,
-            prep: None,
             counters: snap.counters,
             scratch: Scratch::new(),
             compactor: None,
@@ -891,10 +857,7 @@ mod tests {
     #[test]
     fn compaction_folds_and_preserves_everything() {
         let base = path4();
-        let mut g = DynamicGraph::new(base)
-            .policy(CompactionPolicy::with_budget(2))
-            .preprocess_on_compaction(Preprocessor::new());
-        let before_prep = Arc::clone(g.preprocessed().expect("initial prep"));
+        let mut g = DynamicGraph::new(base).policy(CompactionPolicy::with_budget(2));
 
         let r = g.apply_batch(&[
             EdgeOp::Insert(0, 2),
@@ -906,17 +869,6 @@ mod tests {
         assert_eq!(g.counters().compactions, 1);
         assert_eq!(g.base().num_edges(), 6);
         assert_eq!(g.triangles(), cpu::node_iterator(g.base()));
-
-        let after_prep = g.preprocessed().expect("refreshed prep");
-        assert!(
-            !Arc::ptr_eq(&before_prep, after_prep),
-            "compaction must re-run preprocessing"
-        );
-        assert_eq!(
-            cpu::directed_count(after_prep.directed()),
-            g.triangles(),
-            "refreshed variant counts the same triangles"
-        );
     }
 
     #[test]
@@ -1091,20 +1043,6 @@ mod tests {
         assert_eq!(g5.materialize(), inline5.materialize());
         assert_eq!(g5.triangles(), cpu::node_iterator(&g5.materialize()));
         assert!(g5.counters().compactions >= 1);
-    }
-
-    #[test]
-    fn background_compaction_refreshes_preprocessing() {
-        let mut g = DynamicGraph::new(path4())
-            .policy(CompactionPolicy::with_budget(1))
-            .preprocess_on_compaction(Preprocessor::new())
-            .background_compaction();
-        let before = Arc::clone(g.preprocessed().expect("initial prep"));
-        g.apply_batch(&[EdgeOp::Insert(0, 2), EdgeOp::Insert(1, 3)]);
-        g.wait_compaction();
-        let after = g.preprocessed().expect("refreshed prep");
-        assert!(!Arc::ptr_eq(&before, after));
-        assert_eq!(cpu::directed_count(after.directed()), g.triangles());
     }
 
     #[test]

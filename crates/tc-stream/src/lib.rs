@@ -21,13 +21,14 @@
 //!    deduplicated (last-wins per edge) and applied in ascending edge
 //!    order, making the outcome a pure function of (state, batch).
 //! 3. **Threshold compaction** — once the overlay outgrows a budget
-//!    ([`CompactionPolicy`]), it is folded into a fresh base CSR and the
-//!    paper's A-direction/A-order preprocessing re-runs
-//!    ([`DynamicGraph::preprocess_on_compaction`]), so the amortised
-//!    cost of keeping an oriented, kernel-ready variant stays bounded.
-//!    With [`DynamicGraph::background_compaction`] the fold runs on a
-//!    worker thread (frozen-input handoff + change journal), keeping the
-//!    rebuild off the update path entirely.
+//!    ([`CompactionPolicy`]), it is folded into a fresh base CSR, so
+//!    reads through the overlay stay cheap. With
+//!    [`DynamicGraph::background_compaction`] the fold runs on a worker
+//!    thread (frozen-input handoff + change journal), keeping the
+//!    rebuild off the update path entirely. Preprocessed variants of a
+//!    streamed graph are the consumer's business: `tc-service` drops
+//!    them on every update and re-runs the paper's preprocessing on the
+//!    materialised graph when a query asks for one.
 //!
 //! Batches can also be applied *recorded*
 //! ([`DynamicGraph::apply_batch_recorded`]), yielding one [`EdgeChange`]
