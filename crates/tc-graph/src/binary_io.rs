@@ -102,6 +102,23 @@ impl From<std::io::Error> for BinError {
 /// Writes a graph in the binary format.
 pub fn write_binary<W: Write>(g: &CsrGraph, mut w: W) -> Result<(), BinError> {
     w.write_all(MAGIC)?;
+    encode_graph(g, &mut w)?;
+    Ok(())
+}
+
+/// Reads a graph in the binary format, validating all invariants.
+pub fn read_binary<R: Read>(mut r: R) -> Result<CsrGraph, BinError> {
+    let mut magic = [0u8; 8];
+    r.read_exact(&mut magic)?;
+    if &magic != MAGIC {
+        return Err(BinError::BadMagic);
+    }
+    decode_graph(&mut r)
+}
+
+/// The CSR body every graph format shares: `n`, `m`, the offsets and
+/// the adjacency, little-endian.
+fn encode_graph(g: &CsrGraph, w: &mut impl Write) -> std::io::Result<()> {
     w.write_all(&(g.num_vertices() as u64).to_le_bytes())?;
     w.write_all(&(g.num_edges() as u64).to_le_bytes())?;
     for &o in g.offsets() {
@@ -113,22 +130,18 @@ pub fn write_binary<W: Write>(g: &CsrGraph, mut w: W) -> Result<(), BinError> {
     Ok(())
 }
 
-/// Reads a graph in the binary format, validating all invariants.
-pub fn read_binary<R: Read>(mut r: R) -> Result<CsrGraph, BinError> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(BinError::BadMagic);
-    }
-    let n = read_u64(&mut r)? as usize;
-    let m = read_u64(&mut r)? as usize;
+/// The one CSR decoder: reads an [`encode_graph`] body and re-validates
+/// every CSR invariant.
+fn decode_graph(r: &mut impl Read) -> Result<CsrGraph, BinError> {
+    let n = read_u64(r)? as usize;
+    let m = read_u64(r)? as usize;
     // Defensive cap: offsets/adjacency allocations derive from the header.
     if n > (1 << 33) || m > (1 << 36) {
         return Err(BinError::Corrupt(format!("implausible sizes n={n} m={m}")));
     }
     let mut offsets = Vec::with_capacity(n + 1);
     for _ in 0..=n {
-        offsets.push(read_u64(&mut r)? as usize);
+        offsets.push(read_u64(r)? as usize);
     }
     let mut neighbors: Vec<VertexId> = Vec::with_capacity(2 * m);
     let mut buf = [0u8; 4];
@@ -142,7 +155,7 @@ pub fn read_binary<R: Read>(mut r: R) -> Result<CsrGraph, BinError> {
     CsrGraph::try_from_parts(offsets, neighbors).map_err(BinError::Corrupt)
 }
 
-fn read_u64<R: Read>(r: &mut R) -> Result<u64, BinError> {
+fn read_u64(r: &mut impl Read) -> Result<u64, BinError> {
     let mut buf = [0u8; 8];
     r.read_exact(&mut buf)?;
     Ok(u64::from_le_bytes(buf))
@@ -267,40 +280,14 @@ fn truncated_on_eof(e: std::io::Error) -> BinError {
 /// frames.
 pub fn graph_to_bytes(g: &CsrGraph) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + (g.num_vertices() + 1) * 8 + 2 * g.num_edges() * 4);
-    buf.extend_from_slice(&(g.num_vertices() as u64).to_le_bytes());
-    buf.extend_from_slice(&(g.num_edges() as u64).to_le_bytes());
-    for &o in g.offsets() {
-        buf.extend_from_slice(&(o as u64).to_le_bytes());
-    }
-    for &v in g.neighbor_array() {
-        buf.extend_from_slice(&v.to_le_bytes());
-    }
+    encode_graph(g, &mut buf).expect("writing to a Vec cannot fail");
     buf
 }
 
 /// Deserializes [`graph_to_bytes`] output, re-validating every CSR
 /// invariant.
-pub fn graph_from_bytes(bytes: &[u8]) -> Result<CsrGraph, BinError> {
-    let mut r = bytes;
-    let n = read_u64(&mut r)? as usize;
-    let m = read_u64(&mut r)? as usize;
-    if n > (1 << 33) || m > (1 << 36) {
-        return Err(BinError::Corrupt(format!("implausible sizes n={n} m={m}")));
-    }
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(read_u64(&mut r)? as usize);
-    }
-    let mut neighbors: Vec<VertexId> = Vec::with_capacity(2 * m);
-    let mut buf = [0u8; 4];
-    for _ in 0..2 * m {
-        r.read_exact(&mut buf)?;
-        neighbors.push(u32::from_le_bytes(buf));
-    }
-    if offsets.last().copied() != Some(2 * m) {
-        return Err(BinError::Corrupt("offsets and edge count disagree".into()));
-    }
-    CsrGraph::try_from_parts(offsets, neighbors).map_err(BinError::Corrupt)
+pub fn graph_from_bytes(mut bytes: &[u8]) -> Result<CsrGraph, BinError> {
+    decode_graph(&mut bytes)
 }
 
 /// Writes a graph as one checksummed frame ([`TAG_GRAPH`]): the
