@@ -4,7 +4,7 @@
 //! pipelined, one thread count vs another), so a rewrite that shifted
 //! cycles the same way on every path would still pass them. This file
 //! pins absolute values instead: the triangle count and every
-//! `KernelMetrics` field of five algorithms on one fixed graph at
+//! `KernelMetrics` field of all seven algorithms on one fixed graph at
 //! `titan_xp_like`, plus a digest of Hu's per-block schedule. Bisson and
 //! TRUST launch one block per vertex, far more blocks than the 60
 //! resident slots, and Hu's grid is also larger than one wave, so slot
@@ -14,6 +14,8 @@
 //! numbers, and say so in its message.
 
 use tc_algos::bisson::Bisson;
+use tc_algos::fox::Fox;
+use tc_algos::gunrock::Gunrock;
 use tc_algos::hu::HuFineGrained;
 use tc_algos::polak::Polak;
 use tc_algos::tricore::TriCore;
@@ -84,6 +86,26 @@ fn polak_is_pinned() {
 }
 
 #[test]
+fn gunrock_is_pinned() {
+    assert_pinned(
+        &Gunrock::default(),
+        KernelMetrics {
+            kernel_cycles: 3924,
+            blocks: 85,
+            warps: 680,
+            compute_cycles: 35018,
+            global_segments: 43041,
+            shared_transactions: 0,
+            barrier_arrivals: 0,
+            barrier_wait_cycles: 0,
+            compute_busy_cycles: 35018,
+            global_busy_cycles: 86082,
+            shared_busy_cycles: 0,
+        },
+    );
+}
+
+#[test]
 fn tricore_is_pinned() {
     assert_pinned(
         &TriCore::default(),
@@ -139,6 +161,26 @@ fn hu_is_pinned() {
             compute_busy_cycles: 98660,
             global_busy_cycles: 70550,
             shared_busy_cycles: 9030,
+        },
+    );
+}
+
+#[test]
+fn fox_is_pinned() {
+    assert_pinned(
+        &Fox::default(),
+        KernelMetrics {
+            kernel_cycles: 27291,
+            blocks: 677,
+            warps: 5416,
+            compute_cycles: 267622,
+            global_segments: 81003,
+            shared_transactions: 44899,
+            barrier_arrivals: 0,
+            barrier_wait_cycles: 0,
+            compute_busy_cycles: 267622,
+            global_busy_cycles: 162006,
+            shared_busy_cycles: 11237,
         },
     );
 }
