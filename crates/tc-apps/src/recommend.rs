@@ -91,7 +91,97 @@ pub fn recommend_for_with(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use tc_algos::intersect::merge_collect;
+    use tc_datasets::Dataset;
     use tc_graph::GraphBuilder;
+
+    /// The merge-per-candidate scorer, kept as a reference: every two-hop
+    /// candidate's list is merged against the source's whole list, and
+    /// the common neighbours are summed in ascending order.
+    fn reference_scores(g: &CsrGraph, source: VertexId) -> Vec<RecommendScore> {
+        let nbrs = g.neighbors(source);
+        let mut candidates: Vec<VertexId> = nbrs
+            .iter()
+            .flat_map(|&v| g.neighbors(v).iter().copied())
+            .filter(|&w| w != source && !g.has_edge(source, w))
+            .collect();
+        candidates.sort_unstable();
+        candidates.dedup();
+        let mut shared = Vec::new();
+        let mut scored: Vec<RecommendScore> = candidates
+            .into_iter()
+            .map(|c| {
+                shared.clear();
+                merge_collect(nbrs, g.neighbors(c), &mut shared);
+                let common = shared.len() as u32;
+                let union = nbrs.len() + g.degree(c) - common as usize;
+                let adamic_adar = shared
+                    .iter()
+                    .map(|&w| {
+                        let d = g.degree(w) as f64;
+                        if d > 1.0 {
+                            1.0 / d.ln()
+                        } else {
+                            0.0
+                        }
+                    })
+                    .sum();
+                RecommendScore {
+                    candidate: c,
+                    common_neighbors: common,
+                    jaccard: if union > 0 {
+                        common as f64 / union as f64
+                    } else {
+                        0.0
+                    },
+                    adamic_adar,
+                }
+            })
+            .collect();
+        scored.sort_by(|a, b| {
+            b.common_neighbors
+                .cmp(&a.common_neighbors)
+                .then(b.adamic_adar.total_cmp(&a.adamic_adar))
+                .then(a.candidate.cmp(&b.candidate))
+        });
+        scored
+    }
+
+    /// Every field of every candidate equals the reference's, floats bit
+    /// for bit, on the sources `0, stride, 2 * stride, …`.
+    fn assert_matches_reference(name: &str, g: &CsrGraph, stride: usize) {
+        let bits = |r: &RecommendScore| {
+            (
+                r.candidate,
+                r.common_neighbors,
+                r.jaccard.to_bits(),
+                r.adamic_adar.to_bits(),
+            )
+        };
+        for source in (0..g.num_vertices() as VertexId).step_by(stride) {
+            let got: Vec<_> = recommend_for(g, source, usize::MAX)
+                .iter()
+                .map(bits)
+                .collect();
+            let want: Vec<_> = reference_scores(g, source).iter().map(bits).collect();
+            assert_eq!(got, want, "{name}, source {source}");
+        }
+    }
+
+    #[test]
+    fn matches_the_merge_reference_bit_for_bit() {
+        for (dataset, stride) in [
+            (Dataset::EmailEucore, 1),
+            (Dataset::EmailEnron, 97),
+            (Dataset::CitPatent, 401),
+            (Dataset::RoadCentral, 977),
+        ] {
+            assert_matches_reference(dataset.name(), &tc_datasets::load(dataset), stride);
+        }
+        let spokes: Vec<(VertexId, VertexId)> = (1..200).map(|v| (0, v)).collect();
+        let star = GraphBuilder::from_edges(200, &spokes).build();
+        assert_matches_reference("star", &star, 1);
+    }
 
     /// Two triangles sharing edge (1, 2), plus a far vertex:
     /// 0-1, 0-2, 1-2, 1-3, 2-3 — and 4 connected only to 3.
