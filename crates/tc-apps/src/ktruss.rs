@@ -119,8 +119,106 @@ pub fn max_truss(g: &CsrGraph) -> u32 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use tc_graph::generators::{erdos_renyi, watts_strogatz};
+    use std::collections::HashSet;
+    use tc_graph::generators::{
+        erdos_renyi, power_law_configuration, rmat, watts_strogatz, RmatParams,
+    };
     use tc_graph::GraphBuilder;
+
+    /// Trussness by definition: for k = 3, 4, …, repeatedly drop the
+    /// edges that close fewer than k − 2 triangles among the surviving
+    /// edges; an edge's trussness is the largest k it survives, and 2 if
+    /// it survives none.
+    fn brute_force_trussness(g: &CsrGraph) -> HashMap<(VertexId, VertexId), u32> {
+        let key = |a: VertexId, b: VertexId| if a < b { (a, b) } else { (b, a) };
+        let mut truss: HashMap<(VertexId, VertexId), u32> = g.edges().map(|e| (e, 2)).collect();
+        let mut alive: HashSet<(VertexId, VertexId)> = truss.keys().copied().collect();
+        let mut k = 3u32;
+        while !alive.is_empty() {
+            loop {
+                let weak: Vec<(VertexId, VertexId)> = alive
+                    .iter()
+                    .copied()
+                    .filter(|&(u, v)| {
+                        let closed = g
+                            .neighbors(u)
+                            .iter()
+                            .filter(|&&w| alive.contains(&key(u, w)) && alive.contains(&key(v, w)))
+                            .count();
+                        closed < (k - 2) as usize
+                    })
+                    .collect();
+                if weak.is_empty() {
+                    break;
+                }
+                for e in weak {
+                    alive.remove(&e);
+                }
+            }
+            for &e in &alive {
+                truss.insert(e, k);
+            }
+            k += 1;
+        }
+        truss
+    }
+
+    fn clique(n: VertexId) -> CsrGraph {
+        let edges: Vec<(VertexId, VertexId)> = (0..n)
+            .flat_map(|a| (a + 1..n).map(move |b| (a, b)))
+            .collect();
+        GraphBuilder::from_edges(n as usize, &edges).build()
+    }
+
+    #[test]
+    fn matches_brute_force_trussness_edge_by_edge() {
+        let mut graphs: Vec<(String, CsrGraph)> = Vec::new();
+        for seed in 0..4u64 {
+            graphs.push((
+                format!("erdos_renyi seed {seed}"),
+                erdos_renyi(60, 400, seed),
+            ));
+            graphs.push((
+                format!("power_law seed {seed}"),
+                power_law_configuration(300, 2.2, 8.0, seed),
+            ));
+            graphs.push((
+                format!("rmat seed {seed}"),
+                rmat(8, 8, RmatParams::default(), seed),
+            ));
+        }
+        graphs.push(("K8".into(), clique(8)));
+        graphs.push(("K4".into(), clique(4)));
+        graphs.push((
+            "triangle with pendant".into(),
+            GraphBuilder::from_edges(4, &[(0, 1), (1, 2), (0, 2), (2, 3)]).build(),
+        ));
+        let mut two_k4s = vec![];
+        for a in 0..4u32 {
+            for b in (a + 1)..4 {
+                two_k4s.push((a, b));
+                two_k4s.push((a + 3, b + 3));
+            }
+        }
+        graphs.push((
+            "two K4s sharing a vertex".into(),
+            GraphBuilder::from_edges(7, &two_k4s).build(),
+        ));
+        graphs.push((
+            "5-cycle".into(),
+            GraphBuilder::from_edges(5, &[(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)]).build(),
+        ));
+        graphs.push(("ring lattice".into(), watts_strogatz(24, 2, 0.0, 0)));
+        graphs.push(("empty".into(), CsrGraph::empty(5)));
+        for (name, g) in &graphs {
+            let want = brute_force_trussness(g);
+            let got = ktruss_decomposition(g);
+            assert_eq!(got.len(), want.len(), "{name}: one trussness per edge");
+            for (e, k) in &want {
+                assert_eq!(got.get(e), Some(k), "{name}: edge {e:?}");
+            }
+        }
+    }
 
     #[test]
     fn k4_is_a_4_truss() {
