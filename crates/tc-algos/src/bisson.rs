@@ -8,7 +8,7 @@
 //! which is exactly the imbalance A-direction attacks (Figure 13).
 
 use crate::{run_kernel, GpuTriangleCounter, KernelGen, RunResult};
-use std::sync::Mutex;
+use std::cell::RefCell;
 use tc_gpusim::coalesce::bank_transactions;
 use tc_gpusim::ops::WarpOp;
 use tc_gpusim::trace::{BlockTrace, WarpTrace};
@@ -26,51 +26,20 @@ fn bitmap_word(w: VertexId) -> u64 {
     w as u64 / 32
 }
 
-/// One checked-out stamp bitmap: `stamp[v] == generation` means the bit is
-/// set. Bumping the generation replaces an O(n) clear per block.
+/// The stamp bitmap: `stamp[v] == generation` means the bit is set.
+/// Bumping the generation replaces an O(n) clear per block.
 struct StampBuffer {
     stamp: Vec<u32>,
     generation: u32,
 }
 
-/// Pool of stamp bitmaps, one per concurrent `gen_block` call.
-///
-/// Pipeline workers generate different blocks of the same kernel at the
-/// same time, so per-call scratch can't live in a single shared buffer.
-/// Each worker checks a buffer out for the duration of one block and
-/// returns it afterwards; the pool grows to the number of concurrent
-/// workers (a handful) and each buffer is reused for thousands of blocks,
-/// so the O(n) zero-fill happens once per worker, not once per block.
-pub(crate) struct StampPool {
-    vertices: usize,
-    free: Mutex<Vec<StampBuffer>>,
-}
-
-impl StampPool {
-    fn new(vertices: usize) -> Self {
-        Self {
-            vertices,
-            free: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn check_out(&self) -> StampBuffer {
-        let pooled = self.free.lock().expect("stamp pool poisoned").pop();
-        pooled.unwrap_or_else(|| StampBuffer {
-            stamp: vec![0; self.vertices],
-            generation: 0,
-        })
-    }
-
-    fn check_in(&self, buf: StampBuffer) {
-        self.free.lock().expect("stamp pool poisoned").push(buf);
-    }
-}
-
 pub(crate) struct BissonKernel<'a> {
     g: &'a DirectedGraph,
     warps_per_block: usize,
-    stamps: StampPool,
+    /// One bitmap for the whole grid: [`run_kernel`] generates one block
+    /// at a time, so the O(n) zero-fill happens once per kernel, not once
+    /// per block.
+    stamps: RefCell<StampBuffer>,
 }
 
 impl<'a> BissonKernel<'a> {
@@ -78,7 +47,10 @@ impl<'a> BissonKernel<'a> {
         Self {
             g,
             warps_per_block: gpu.warps_per_block,
-            stamps: StampPool::new(g.num_vertices()),
+            stamps: RefCell::new(StampBuffer {
+                stamp: vec![0; g.num_vertices()],
+                generation: 0,
+            }),
         }
     }
 }
@@ -97,8 +69,8 @@ impl KernelGen for BissonKernel<'_> {
             return (BlockTrace::new(vec![WarpTrace::empty(); wpb]), 0);
         }
 
-        // Mark N+(u) in a checked-out stamped bitmap.
-        let mut buf = self.stamps.check_out();
+        // Mark N+(u) in the stamped bitmap.
+        let mut buf = self.stamps.borrow_mut();
         buf.generation = buf.generation.wrapping_add(1);
         if buf.generation == 0 {
             // Wrapped: stale stamps could collide with generation 0.
@@ -178,7 +150,6 @@ impl KernelGen for BissonKernel<'_> {
             }
         }
 
-        self.stamps.check_in(buf);
         let warps = warp_ops.into_iter().map(WarpTrace::new).collect();
         (BlockTrace::new(warps), count)
     }

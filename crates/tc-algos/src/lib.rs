@@ -35,9 +35,10 @@ pub mod tricore;
 pub mod trust;
 
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicU64, Ordering};
-use tc_gpusim::pipeline::{configured_threads, simulate_pipelined, simulate_pipelined_with_events};
-use tc_gpusim::{BlockSource, BlockTrace, GpuConfig, KernelMetrics};
+use std::cell::Cell;
+use tc_gpusim::{
+    simulate, simulate_with_events, BlockSource, BlockTrace, GpuConfig, KernelMetrics,
+};
 use tc_graph::DirectedGraph;
 
 /// Result of one simulated GPU triangle-counting run.
@@ -74,15 +75,14 @@ pub trait GpuTriangleCounter: Sync {
 /// number of triangles that block finds. [`run_kernel`] wires this into the
 /// simulator and totals the counts.
 ///
-/// Generators must be [`Sync`]: [`run_kernel`] feeds them to the parallel
-/// trace-generation pipeline, whose workers call [`gen_block`] for
-/// different indices concurrently. Each call must depend only on `self`
-/// and `idx` (the determinism the [`BlockSource`] contract already
-/// requires); per-call scratch state belongs in a pool, not in shared
-/// interior mutability (see `bisson::StampPool` for the pattern).
+/// [`run_kernel`] calls [`gen_block`] on the simulating thread, one block
+/// at a time, so a generator may keep one scratch buffer per kernel
+/// instance behind a `RefCell` (see `bisson::BissonKernel`). Each call's
+/// result must depend only on `self`'s inputs and `idx`: the
+/// [`BlockSource`] contract lets the engine regenerate a block.
 ///
 /// [`gen_block`]: KernelGen::gen_block
-pub trait KernelGen: Sync {
+pub trait KernelGen {
     /// Number of blocks in the grid.
     fn num_blocks(&self) -> usize;
 
@@ -95,22 +95,22 @@ pub trait KernelGen: Sync {
 /// block's triangle count as its trace is generated.
 ///
 /// Counts are *stored* per block index (not summed on the fly), so the
-/// total stays exact even if a block is ever regenerated, and the store is
-/// atomic so pipeline workers can generate blocks concurrently — the
-/// per-worker partial results meet only in the final reduction.
+/// total stays exact even if a block is ever regenerated.
 struct CountingSource<'a, K: KernelGen + ?Sized> {
     gen: &'a K,
-    counts: Vec<AtomicU64>,
+    counts: Vec<Cell<u64>>,
 }
 
 impl<'a, K: KernelGen + ?Sized> CountingSource<'a, K> {
     fn new(gen: &'a K) -> Self {
-        let counts = (0..gen.num_blocks()).map(|_| AtomicU64::new(0)).collect();
-        Self { gen, counts }
+        Self {
+            gen,
+            counts: vec![Cell::new(0); gen.num_blocks()],
+        }
     }
 
     fn total(&self) -> u64 {
-        self.counts.iter().map(|c| c.load(Ordering::Relaxed)).sum()
+        self.counts.iter().map(Cell::get).sum()
     }
 }
 
@@ -121,20 +121,19 @@ impl<K: KernelGen + ?Sized> BlockSource for CountingSource<'_, K> {
 
     fn block(&self, idx: usize) -> Cow<'_, BlockTrace> {
         let (trace, count) = self.gen.gen_block(idx);
-        self.counts[idx].store(count, Ordering::Relaxed);
+        self.counts[idx].set(count);
         Cow::Owned(trace)
     }
 }
 
 /// Simulates a [`KernelGen`] and returns its total count plus metrics.
 ///
-/// Trace generation runs on the parallel prefetch pipeline
-/// ([`tc_gpusim::pipeline`]) with the configured worker count
-/// (`TC_PIPELINE_THREADS` / all cores); metrics and counts are bit-for-bit
-/// identical at every thread count.
+/// Each block's trace is generated on the calling thread, inside the
+/// engine's request for that block, so at most the blocks resident on
+/// the simulated SMs are held at once.
 pub fn run_kernel<K: KernelGen + ?Sized>(gen: &K, gpu: &GpuConfig) -> RunResult {
     let source = CountingSource::new(gen);
-    let metrics = simulate_pipelined(gpu, &source, configured_threads());
+    let metrics = simulate(gpu, &source);
     RunResult {
         triangles: source.total(),
         metrics,
@@ -148,7 +147,7 @@ pub fn run_kernel_with_events<K: KernelGen + ?Sized>(
     gpu: &GpuConfig,
 ) -> (RunResult, Vec<tc_gpusim::BlockEvent>) {
     let source = CountingSource::new(gen);
-    let (metrics, events) = simulate_pipelined_with_events(gpu, &source, configured_threads());
+    let (metrics, events) = simulate_with_events(gpu, &source);
     (
         RunResult {
             triangles: source.total(),
@@ -171,4 +170,64 @@ pub fn all_gpu_algorithms() -> Vec<Box<dyn GpuTriangleCounter>> {
         Box::new(fox::Fox::default()),
         Box::new(trust::Trust::default()),
     ]
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::cell::RefCell;
+    use std::thread::ThreadId;
+    use tc_gpusim::{WarpOp, WarpTrace};
+
+    /// A generator that records every block it is asked for, and on which
+    /// thread; block `idx` counts `3 * idx + 1` triangles.
+    struct Recorder {
+        blocks: usize,
+        calls: RefCell<Vec<(usize, ThreadId)>>,
+    }
+
+    impl KernelGen for Recorder {
+        fn num_blocks(&self) -> usize {
+            self.blocks
+        }
+
+        fn gen_block(&self, idx: usize) -> (BlockTrace, u64) {
+            self.calls
+                .borrow_mut()
+                .push((idx, std::thread::current().id()));
+            let ops = vec![
+                WarpOp::Compute(1 + idx as u32 % 7),
+                WarpOp::BlockSync,
+                WarpOp::Compute(3),
+            ];
+            (
+                BlockTrace::new(vec![WarpTrace::new(ops); 2]),
+                3 * idx as u64 + 1,
+            )
+        }
+    }
+
+    #[test]
+    fn run_kernel_generates_each_block_once_in_grid_order_on_the_calling_thread() {
+        let gpu = GpuConfig::titan_xp_like();
+        // Several times the 60 resident slots, so slots are reused.
+        let blocks = 500;
+        let caller = std::thread::current().id();
+        for with_events in [false, true] {
+            let gen = Recorder {
+                blocks,
+                calls: RefCell::new(Vec::new()),
+            };
+            let run = if with_events {
+                run_kernel_with_events(&gen, &gpu).0
+            } else {
+                run_kernel(&gen, &gpu)
+            };
+            let expected: Vec<(usize, ThreadId)> = (0..blocks).map(|idx| (idx, caller)).collect();
+            assert_eq!(gen.calls.into_inner(), expected, "events: {with_events}");
+            let total: u64 = (0..blocks as u64).map(|idx| 3 * idx + 1).sum();
+            assert_eq!(run.triangles, total, "events: {with_events}");
+            assert_eq!(run.metrics.blocks, blocks, "events: {with_events}");
+        }
+    }
 }

@@ -32,7 +32,7 @@
 //! hurt a non-intersection kernel is exactly what the grid measures.
 
 use crate::{run_kernel, GpuTriangleCounter, KernelGen, RunResult};
-use std::sync::Mutex;
+use std::cell::RefCell;
 use tc_gpusim::coalesce::bank_transactions;
 use tc_gpusim::ops::WarpOp;
 use tc_gpusim::trace::{BlockTrace, WarpTrace};
@@ -47,44 +47,13 @@ pub struct Trust {
     pub buckets_per_block: usize,
 }
 
-/// One checked-out hash-table layout: counting-sort of a neighbour list
-/// into `H` buckets. `counts`/`offsets` are sized to `H` once; `slots`
-/// grows to the largest neighbour list seen.
+/// The hash-table layout: counting-sort of a neighbour list into `H`
+/// buckets. `counts`/`offsets` are sized to `H` once; `slots` grows to
+/// the largest neighbour list seen.
 struct BucketBuffer {
     counts: Vec<u32>,
     offsets: Vec<u32>,
     slots: Vec<VertexId>,
-}
-
-/// Pool of [`BucketBuffer`]s, one per concurrent `gen_block` call (the
-/// same pattern as `bisson::StampPool`: pipeline workers generate
-/// different blocks concurrently, each checks a buffer out for one block
-/// and returns it warm).
-struct BucketPool {
-    buckets: usize,
-    free: Mutex<Vec<BucketBuffer>>,
-}
-
-impl BucketPool {
-    fn new(buckets: usize) -> Self {
-        Self {
-            buckets,
-            free: Mutex::new(Vec::new()),
-        }
-    }
-
-    fn check_out(&self) -> BucketBuffer {
-        let pooled = self.free.lock().expect("bucket pool poisoned").pop();
-        pooled.unwrap_or_else(|| BucketBuffer {
-            counts: vec![0; self.buckets],
-            offsets: vec![0; self.buckets + 1],
-            slots: Vec::new(),
-        })
-    }
-
-    fn check_in(&self, buf: BucketBuffer) {
-        self.free.lock().expect("bucket pool poisoned").push(buf);
-    }
 }
 
 impl BucketBuffer {
@@ -123,7 +92,9 @@ pub(crate) struct TrustKernel<'a> {
     g: &'a DirectedGraph,
     warps_per_block: usize,
     buckets: usize,
-    pool: BucketPool,
+    /// One table for the whole grid: [`run_kernel`] generates one block
+    /// at a time.
+    table: RefCell<BucketBuffer>,
 }
 
 impl<'a> TrustKernel<'a> {
@@ -138,7 +109,11 @@ impl<'a> TrustKernel<'a> {
             g,
             warps_per_block: gpu.warps_per_block,
             buckets,
-            pool: BucketPool::new(buckets),
+            table: RefCell::new(BucketBuffer {
+                counts: vec![0; buckets],
+                offsets: vec![0; buckets + 1],
+                slots: Vec::new(),
+            }),
         }
     }
 }
@@ -158,7 +133,7 @@ impl KernelGen for TrustKernel<'_> {
         }
 
         let buckets = self.buckets;
-        let mut table = self.pool.check_out();
+        let mut table = self.table.borrow_mut();
         table.build(nbrs, buckets);
 
         let mut warp_ops: Vec<Vec<WarpOp>> = vec![Vec::new(); wpb];
@@ -220,7 +195,6 @@ impl KernelGen for TrustKernel<'_> {
             }
         }
 
-        self.pool.check_in(table);
         let warps = warp_ops.into_iter().map(WarpTrace::new).collect();
         (BlockTrace::new(warps), count)
     }

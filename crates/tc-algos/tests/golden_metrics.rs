@@ -1,8 +1,8 @@
 //! Golden outputs of the simulated GPU kernels.
 //!
-//! The determinism tests compare the engine only with itself (serial vs
-//! pipelined, one thread count vs another), so a rewrite that shifted
-//! cycles the same way on every path would still pass them. This file
+//! The determinism tests compare the engine only with itself (one run
+//! against another), so a rewrite that shifted cycles the same way on
+//! every run would still pass them. This file
 //! pins absolute values instead: the triangle count and every
 //! `KernelMetrics` field of all seven algorithms on one fixed graph at
 //! `titan_xp_like`, plus a digest of Hu's per-block schedule. Bisson and

@@ -11,9 +11,10 @@
 //! `BENCH_cpu.json` is only rewritten by full `cpu-bench` runs. Any
 //! other flag exits 2 with the usage line.
 //!
-//! Experiment grids and trace generation run on all cores by default;
-//! set `TC_PIPELINE_THREADS=1` for a fully serial harness. Each
-//! experiment's end-to-end wall-clock is reported on stderr.
+//! Experiment grids spread their cells over all cores by default, and
+//! each cell generates its block traces on its own thread; set
+//! `TC_PIPELINE_THREADS=1` for a fully serial harness. Each experiment's
+//! end-to-end wall-clock is reported on stderr.
 
 use std::time::Instant;
 use tc_bench::experiments::*;

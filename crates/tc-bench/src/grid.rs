@@ -9,11 +9,11 @@
 //! discrete-event engine itself is deterministic; only *wall-clock*
 //! readings vary run to run, as they always have).
 //!
-//! The worker count comes from the same knob as the trace-generation
-//! pipeline — [`tc_gpusim::pipeline::configured_threads`], i.e. the
-//! `TC_PIPELINE_THREADS` environment variable or all available cores —
-//! so `set_thread_override(Some(1))` flips the *entire* harness (grid and
-//! pipeline) to serial.
+//! The worker count is [`tc_gpusim::pipeline::configured_threads`], i.e.
+//! the `TC_PIPELINE_THREADS` environment variable or all available cores,
+//! so `set_thread_override(Some(1))` makes the whole harness serial. A
+//! cell generates its block traces on its own thread, inside the
+//! simulation, whatever the worker count.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;

@@ -37,7 +37,6 @@ pub use config::GpuConfig;
 pub use engine::{simulate, simulate_with_events, BlockEvent};
 pub use metrics::KernelMetrics;
 pub use ops::WarpOp;
-pub use pipeline::{simulate_pipelined, simulate_pipelined_auto, simulate_pipelined_with_events};
 pub use trace::{BlockSource, BlockTrace, SliceBlockSource, WarpTrace};
 
 /// Simulated cycle count.

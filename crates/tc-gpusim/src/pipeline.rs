@@ -1,74 +1,35 @@
-//! Parallel trace-generation pipeline.
+//! Thread count of the experiment grid.
 //!
-//! Profiling showed the simulator spends most of its wall-clock *generating*
-//! block traces (real CPU traversals of the graph), not simulating them: the
-//! discrete-event engine is cheap, the [`BlockSource::block`] calls are not.
-//! Trace generation is embarrassingly parallel — each block's trace depends
-//! only on the graph and the block index — while the event engine is
-//! inherently serial. So this module splits them:
+//! Trace generation runs on the simulating thread: the engine calls
+//! [`crate::BlockSource::block`] as an SM slot frees, and the source
+//! builds that block's trace there and then. Parallelism lives where it
+//! needs no per-block handoff: across the cells of an experiment grid
+//! (`tc-bench`'s `par_map`) and across requests on the server's shard
+//! workers. This module sizes the grid.
 //!
-//! ```text
-//!  worker 0 ──┐
-//!  worker 1 ──┼──▶ bounded reorder buffer ──▶ engine (single thread)
-//!  worker N ──┘      (grid order)
-//! ```
-//!
-//! Workers claim block indices from a shared atomic counter, generate each
-//! block's trace, and deposit it into a bounded ring buffer slot keyed by
-//! `index % capacity`. The engine drains the buffer **strictly in grid
-//! order** through a [`BlockSource`] adapter.
-//!
-//! # Determinism
-//!
-//! Simulated cycle counts are bit-for-bit identical to a serial
-//! [`crate::simulate`] run, by construction rather than by luck:
-//!
-//! 1. Sources are required to be deterministic functions of the block index
-//!    (already part of the [`BlockSource`] contract), so workers produce the
-//!    same traces a serial run would, regardless of which worker runs which
-//!    index.
-//! 2. The engine consumes blocks in grid order — the adapter's `block(idx)`
-//!    blocks until trace `idx` is present, no matter which traces finished
-//!    first. The engine itself is untouched and single-threaded; thread
-//!    scheduling can change *when* a trace becomes available, never *what*
-//!    the engine observes.
-//!
-//! The property suite asserts `simulate == simulate_pipelined` for threads
-//! 1, 2, and 8 over randomized traces.
-//!
-//! # Sizing
-//!
-//! Thread count defaults to [`std::thread::available_parallelism`], clamped
-//! by the `TC_PIPELINE_THREADS` environment variable (or an explicit
-//! [`set_thread_override`], which takes precedence and is what the benches
-//! use to compare serial vs pipelined in one process). The reorder buffer
-//! holds `2 × threads` traces, bounding memory while keeping workers busy
-//! when block costs are skewed.
+//! The count is the [`set_thread_override`] value if set, else the
+//! `TC_PIPELINE_THREADS` environment variable if set and parseable, else
+//! [`std::thread::available_parallelism`]. The override takes precedence
+//! so that a benchmark can switch the grid to serial without re-executing.
 
-use crate::config::GpuConfig;
-use crate::engine::{simulate, simulate_with_events, BlockEvent};
-use crate::metrics::KernelMetrics;
-use crate::trace::{BlockSource, BlockTrace};
-use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex};
 
-/// Environment variable overriding the worker-thread count.
+/// Environment variable overriding the grid's thread count.
 pub const THREADS_ENV: &str = "TC_PIPELINE_THREADS";
 
 /// Process-wide thread override (0 = none). Takes precedence over the
-/// environment; lets a benchmark flip serial/pipelined without re-execing.
+/// environment.
 static THREAD_OVERRIDE: AtomicUsize = AtomicUsize::new(0);
 
-/// Forces the pipeline thread count for this process (`None` restores
+/// Forces the grid's thread count for this process (`None` restores
 /// env/auto selection). `Some(1)` means "run serially".
 pub fn set_thread_override(threads: Option<usize>) {
     THREAD_OVERRIDE.store(threads.unwrap_or(0), Ordering::Relaxed);
 }
 
-/// The worker-thread count [`simulate_pipelined_auto`] will use:
-/// the [`set_thread_override`] value if set, else `TC_PIPELINE_THREADS`
-/// if set and parseable, else [`std::thread::available_parallelism`].
+/// The grid's thread count: the [`set_thread_override`] value if set,
+/// else `TC_PIPELINE_THREADS` if set and parseable, else
+/// [`std::thread::available_parallelism`].
 pub fn configured_threads() -> usize {
     let forced = THREAD_OVERRIDE.load(Ordering::Relaxed);
     if forced > 0 {
@@ -84,348 +45,18 @@ pub fn configured_threads() -> usize {
         .unwrap_or(1)
 }
 
-/// Reorder buffer shared between generator workers and the engine thread.
-struct Shared {
-    /// Next block index not yet claimed by any worker.
-    next: AtomicUsize,
-    /// Ring capacity (admission window size).
-    cap: usize,
-    state: Mutex<Buffer>,
-    /// Signalled when a trace lands in the buffer (engine waits on this).
-    filled: Condvar,
-    /// Signalled when the engine consumes a trace or stops (workers wait
-    /// on this).
-    drained: Condvar,
-}
-
-struct Buffer {
-    /// Ring of generated traces; block `idx` lives in `ring[idx % cap]`.
-    ring: Vec<Option<BlockTrace>>,
-    /// Next block index the engine will consume; defines the admission
-    /// window `[consumed, consumed + cap)`.
-    consumed: usize,
-    /// Set when a worker panics, so the engine fails fast instead of
-    /// waiting forever for a trace that will never arrive.
-    worker_panicked: bool,
-    /// Set when the engine has stopped (normally or by panic), so workers
-    /// parked on the admission window exit instead of waiting forever.
-    consumer_done: bool,
-}
-
-impl Shared {
-    fn new(capacity: usize) -> Self {
-        Self {
-            next: AtomicUsize::new(0),
-            cap: capacity,
-            state: Mutex::new(Buffer {
-                ring: (0..capacity).map(|_| None).collect(),
-                consumed: 0,
-                worker_panicked: false,
-                consumer_done: false,
-            }),
-            filled: Condvar::new(),
-            drained: Condvar::new(),
-        }
-    }
-}
-
-/// Marks the pipeline poisoned if the holding worker unwinds, then wakes
-/// the engine so it can re-raise instead of deadlocking.
-struct WorkerGuard<'a> {
-    shared: &'a Shared,
-    armed: bool,
-}
-
-impl Drop for WorkerGuard<'_> {
-    fn drop(&mut self) {
-        if self.armed {
-            if let Ok(mut st) = self.shared.state.lock() {
-                st.worker_panicked = true;
-            }
-            self.shared.filled.notify_all();
-            self.shared.drained.notify_all();
-        }
-    }
-}
-
-/// Marks the engine stopped when its closure exits — normally or by
-/// unwinding (e.g. a barrier-consistency assertion) — so parked workers
-/// wake and the scope join cannot deadlock.
-struct ConsumerGuard<'a> {
-    shared: &'a Shared,
-}
-
-impl Drop for ConsumerGuard<'_> {
-    fn drop(&mut self) {
-        if let Ok(mut st) = self.shared.state.lock() {
-            st.consumer_done = true;
-        }
-        self.shared.drained.notify_all();
-    }
-}
-
-fn worker<S: BlockSource + ?Sized>(shared: &Shared, source: &S, num_blocks: usize) {
-    let cap = shared.cap;
-    let mut guard = WorkerGuard {
-        shared,
-        armed: true,
-    };
-    loop {
-        let idx = shared.next.fetch_add(1, Ordering::Relaxed);
-        if idx >= num_blocks {
-            break;
-        }
-        // Admission control: generate only once `idx` fits in the window,
-        // so at most `cap` traces are in flight beyond the engine's cursor.
-        {
-            let mut st = shared.state.lock().expect("pipeline lock");
-            loop {
-                if st.worker_panicked || st.consumer_done {
-                    guard.armed = false; // pipeline is already shutting down
-                    return;
-                }
-                if idx < st.consumed + cap {
-                    break;
-                }
-                st = shared.drained.wait(st).expect("pipeline lock");
-            }
-        }
-        let trace = source.block(idx).into_owned();
-        let mut st = shared.state.lock().expect("pipeline lock");
-        debug_assert!(st.ring[idx % cap].is_none(), "ring slot collision");
-        st.ring[idx % cap] = Some(trace);
-        drop(st);
-        shared.filled.notify_all();
-    }
-    guard.armed = false;
-}
-
-/// [`BlockSource`] adapter the engine runs against: `block(idx)` hands out
-/// trace `idx` as soon as a worker has deposited it. The engine requests
-/// indices strictly in grid order (asserted), which is what makes the
-/// pipelined run observationally identical to the serial one.
-struct PrefetchedSource<'a> {
-    shared: &'a Shared,
-    num_blocks: usize,
-}
-
-impl BlockSource for PrefetchedSource<'_> {
-    fn num_blocks(&self) -> usize {
-        self.num_blocks
-    }
-
-    fn block(&self, idx: usize) -> Cow<'_, BlockTrace> {
-        let cap = self.shared.cap;
-        let mut st = self.shared.state.lock().expect("pipeline lock");
-        assert_eq!(idx, st.consumed, "engine must consume blocks in grid order");
-        loop {
-            if st.worker_panicked {
-                panic!("trace-generation worker panicked");
-            }
-            if st.ring[idx % cap].is_some() {
-                break;
-            }
-            st = self.shared.filled.wait(st).expect("pipeline lock");
-        }
-        let trace = st.ring[idx % cap].take().expect("checked above");
-        st.consumed = idx + 1;
-        drop(st);
-        self.shared.drained.notify_all();
-        Cow::Owned(trace)
-    }
-}
-
-/// Runs `source` on the configured GPU with `threads` trace-generation
-/// workers. Returns metrics bit-for-bit identical to [`simulate`].
-///
-/// `threads <= 1` falls back to the serial engine (no worker threads, no
-/// queue). The source must be `Sync`: workers generate blocks concurrently.
-pub fn simulate_pipelined<S>(config: &GpuConfig, source: &S, threads: usize) -> KernelMetrics
-where
-    S: BlockSource + Sync + ?Sized,
-{
-    run_pipelined(config, source, threads, false).0
-}
-
-/// [`simulate_pipelined`] + per-block lifetime events, mirroring
-/// [`simulate_with_events`].
-pub fn simulate_pipelined_with_events<S>(
-    config: &GpuConfig,
-    source: &S,
-    threads: usize,
-) -> (KernelMetrics, Vec<BlockEvent>)
-where
-    S: BlockSource + Sync + ?Sized,
-{
-    let (metrics, events) = run_pipelined(config, source, threads, true);
-    (metrics, events.expect("event collection requested"))
-}
-
-/// [`simulate_pipelined`] with the thread count from
-/// [`configured_threads`] (override → `TC_PIPELINE_THREADS` → all cores).
-pub fn simulate_pipelined_auto<S>(config: &GpuConfig, source: &S) -> KernelMetrics
-where
-    S: BlockSource + Sync + ?Sized,
-{
-    simulate_pipelined(config, source, configured_threads())
-}
-
-fn run_pipelined<S>(
-    config: &GpuConfig,
-    source: &S,
-    threads: usize,
-    collect_events: bool,
-) -> (KernelMetrics, Option<Vec<BlockEvent>>)
-where
-    S: BlockSource + Sync + ?Sized,
-{
-    let num_blocks = source.num_blocks();
-    // Below this grid size thread startup dwarfs generation; serial wins.
-    const MIN_BLOCKS_FOR_PIPELINE: usize = 4;
-    if threads <= 1 || num_blocks < MIN_BLOCKS_FOR_PIPELINE {
-        return if collect_events {
-            let (m, e) = simulate_with_events(config, source);
-            (m, Some(e))
-        } else {
-            (simulate(config, source), None)
-        };
-    }
-    let workers = threads.min(num_blocks);
-    let shared = Shared::new(workers * 2);
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| worker(&shared, source, num_blocks));
-        }
-        let _stop = ConsumerGuard { shared: &shared };
-        let prefetched = PrefetchedSource {
-            shared: &shared,
-            num_blocks,
-        };
-        if collect_events {
-            let (m, e) = simulate_with_events(config, &prefetched);
-            (m, Some(e))
-        } else {
-            (simulate(config, &prefetched), None)
-        }
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ops::WarpOp;
-    use crate::trace::{SliceBlockSource, WarpTrace};
-
-    fn sample_blocks(n: usize) -> Vec<BlockTrace> {
-        (0..n)
-            .map(|i| {
-                let i = i as u32;
-                BlockTrace::new(vec![
-                    WarpTrace::new(vec![
-                        WarpOp::Compute(1 + i % 13),
-                        WarpOp::GlobalAccess {
-                            segments: 1 + i % 5,
-                        },
-                        WarpOp::BlockSync,
-                        WarpOp::Compute(2 + i % 7),
-                    ]),
-                    WarpTrace::new(vec![
-                        WarpOp::SharedAccess {
-                            transactions: 1 + i % 3,
-                        },
-                        WarpOp::BlockSync,
-                        WarpOp::Compute(1),
-                    ]),
-                ])
-            })
-            .collect()
-    }
-
-    #[test]
-    fn pipelined_matches_serial() {
-        let src = SliceBlockSource::new(sample_blocks(64));
-        let config = GpuConfig::tiny();
-        let serial = simulate(&config, &src);
-        for threads in [1, 2, 3, 8] {
-            let piped = simulate_pipelined(&config, &src, threads);
-            assert_eq!(piped, serial, "threads={threads}");
-        }
-    }
-
-    #[test]
-    fn pipelined_events_match_serial() {
-        let src = SliceBlockSource::new(sample_blocks(32));
-        let config = GpuConfig::tiny();
-        let (sm, se) = simulate_with_events(&config, &src);
-        let (pm, pe) = simulate_pipelined_with_events(&config, &src, 4);
-        assert_eq!(pm, sm);
-        assert_eq!(pe, se);
-    }
-
-    #[test]
-    fn more_threads_than_blocks_is_fine() {
-        let src = SliceBlockSource::new(sample_blocks(5));
-        let config = GpuConfig::tiny();
-        assert_eq!(
-            simulate_pipelined(&config, &src, 64),
-            simulate(&config, &src)
-        );
-    }
-
-    #[test]
-    fn empty_grid_is_fine() {
-        let src = SliceBlockSource::new(Vec::new());
-        let m = simulate_pipelined(&GpuConfig::tiny(), &src, 4);
-        assert_eq!(m.kernel_cycles, 0);
-    }
 
     #[test]
     fn thread_override_wins() {
-        // Serialize: this test mutates process-global state, but the
-        // override is restored before returning and other tests only read
-        // it through simulate calls with explicit thread counts.
+        // This test mutates process-global state; the override is
+        // restored before returning, and no other test in this crate
+        // reads it.
         set_thread_override(Some(3));
         assert_eq!(configured_threads(), 3);
         set_thread_override(None);
         assert!(configured_threads() >= 1);
-    }
-
-    #[test]
-    fn engine_panic_does_not_deadlock() {
-        // An inconsistent-barrier block trips the engine's assertion on the
-        // consumer side while workers are parked on the admission window;
-        // the panic must propagate out of the scope, not hang the join.
-        let bad = BlockTrace::new(vec![
-            WarpTrace::new(vec![WarpOp::BlockSync]),
-            WarpTrace::new(vec![WarpOp::Compute(1)]),
-        ]);
-        let blocks: Vec<BlockTrace> = (0..32).map(|_| bad.clone()).collect();
-        let src = SliceBlockSource::new(blocks);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            simulate_pipelined(&GpuConfig::tiny(), &src, 4);
-        }));
-        assert!(result.is_err(), "engine panic must surface, not deadlock");
-    }
-
-    #[test]
-    fn worker_panic_propagates() {
-        struct Bomb;
-        impl BlockSource for Bomb {
-            fn num_blocks(&self) -> usize {
-                16
-            }
-            fn block(&self, idx: usize) -> Cow<'_, BlockTrace> {
-                if idx == 7 {
-                    panic!("boom");
-                }
-                Cow::Owned(BlockTrace::new(vec![WarpTrace::new(vec![
-                    WarpOp::Compute(1),
-                ])]))
-            }
-        }
-        let result = std::panic::catch_unwind(|| {
-            simulate_pipelined(&GpuConfig::tiny(), &Bomb, 4);
-        });
-        assert!(result.is_err(), "worker panic must surface, not deadlock");
     }
 }

@@ -7,7 +7,7 @@
 //! into **one 4-byte word** of a flat per-block arena, plus a per-warp
 //! table of end offsets: at most three allocations per block, whatever its
 //! warp count, and half the bytes of a `WarpOp`, so the blocks resident in
-//! SM slots and in the pipeline's reorder buffer hold 4 bytes per op.
+//! SM slots hold 4 bytes per op.
 //!
 //! A word's top 2 bits are the op kind and its low 30 bits the payload
 //! (cycles, segments or transactions; 0 for a barrier). A payload of

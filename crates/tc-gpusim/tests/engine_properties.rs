@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 use tc_gpusim::ops::WarpOp;
 use tc_gpusim::trace::{self, BlockTrace, SliceBlockSource, WarpTrace};
-use tc_gpusim::{simulate, simulate_pipelined, simulate_pipelined_with_events, GpuConfig};
+use tc_gpusim::{simulate, simulate_with_events, GpuConfig};
 
 /// Strategy: a random warp trace without barriers (barrier counts must
 /// agree across warps, handled separately).
@@ -54,12 +54,15 @@ fn total_compute(blocks: &[BlockTrace]) -> u64 {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Same trace, same GPU → identical metrics.
+    /// Same trace, same GPU → identical metrics and per-block lifetimes,
+    /// barriers included, whether or not events are collected.
     #[test]
-    fn deterministic(blocks in arb_blocks(12)) {
+    fn deterministic(blocks in arb_barrier_blocks(16)) {
         let src = SliceBlockSource::new(blocks);
         let gpu = GpuConfig::titan_xp_like();
-        prop_assert_eq!(simulate(&gpu, &src), simulate(&gpu, &src));
+        let (metrics, events) = simulate_with_events(&gpu, &src);
+        prop_assert_eq!(&simulate(&gpu, &src), &metrics);
+        prop_assert_eq!((metrics, events), simulate_with_events(&gpu, &src));
     }
 
     /// The makespan can never beat the per-SM compute lower bound: total
@@ -99,24 +102,6 @@ proptest! {
         let m = simulate(&GpuConfig::titan_xp_like(), &src);
         prop_assert_eq!(m.compute_cycles, compute);
         prop_assert_eq!(m.global_segments, global);
-    }
-
-    /// The parallel trace-generation pipeline is bit-for-bit identical to
-    /// the serial engine at every worker count: cycle counts, op totals,
-    /// barrier waits, and per-block lifetimes all match.
-    #[test]
-    fn pipelined_simulation_matches_serial(blocks in arb_barrier_blocks(16)) {
-        let gpu = GpuConfig::titan_xp_like();
-        let src = SliceBlockSource::new(blocks);
-        let serial = simulate(&gpu, &src);
-        for threads in [1usize, 2, 8] {
-            let piped = simulate_pipelined(&gpu, &src, threads);
-            prop_assert_eq!(&piped, &serial);
-        }
-        let (m1, e1) = tc_gpusim::simulate_with_events(&gpu, &src);
-        let (m2, e2) = simulate_pipelined_with_events(&gpu, &src, 8);
-        prop_assert_eq!(m1, m2);
-        prop_assert_eq!(e1, e2);
     }
 
     /// Appending one more non-empty block never reduces the makespan.

@@ -4,9 +4,9 @@
 //! N concurrent clients issuing the same `count`/`simulate` queries get
 //! **byte-identical** responses to a serial single-client run, at 1, 2,
 //! and 8 worker threads. Triangle counts are exact and simulated cycles
-//! are deterministic by the PR-1 pipeline contract, so any divergence
-//! here is a service-layer bug (shared-state corruption, response
-//! cross-wiring, or nondeterministic payload fields).
+//! are deterministic (the engine is a pure function of its traces), so
+//! any divergence here is a service-layer bug (shared-state corruption,
+//! response cross-wiring, or nondeterministic payload fields).
 
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
