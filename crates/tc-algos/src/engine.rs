@@ -124,8 +124,9 @@ const WORD_MASK: u32 = 63;
 
 /// Reusable per-thread working memory: the packed membership bitmap
 /// behind the pinned probe, the slot marker behind [`edge_triangles`],
-/// and two staging buffers for intersections whose operands only exist
-/// as iterators (layered adjacency in `tc-stream`).
+/// two staging buffers for intersections whose operands only exist as
+/// iterators (layered adjacency in `tc-stream`), and a pair buffer
+/// (wedges in `tc-apps`' recommendation scoring).
 ///
 /// Everything inside is a pure cache — dropping or swapping a `Scratch`
 /// never changes any count — and every buffer grows monotonically, so a
@@ -153,6 +154,7 @@ pub struct Scratch {
     slots: Vec<u32>,
     buf_a: Vec<VertexId>,
     buf_b: Vec<VertexId>,
+    pairs: Vec<(VertexId, VertexId)>,
 }
 
 /// Cloning a scratch yields a fresh empty one: the contents are a pure
@@ -175,6 +177,7 @@ impl Scratch {
         self.words.capacity() * std::mem::size_of::<u64>()
             + (self.touched.capacity() + self.slots.capacity()) * std::mem::size_of::<u32>()
             + (self.buf_a.capacity() + self.buf_b.capacity()) * std::mem::size_of::<VertexId>()
+            + self.pairs.capacity() * std::mem::size_of::<(VertexId, VertexId)>()
     }
 
     /// Number of vertex ids the bitmap currently covers.
@@ -258,16 +261,12 @@ impl Scratch {
         crate::simd::probe_count(&self.words, self.clip(list))
     }
 
-    /// Merge-intersects two sorted slices into an internal reusable
-    /// buffer and returns the common elements. For callers that need the
-    /// elements themselves (recommendation scoring)
+    /// The reusable pair buffer, cleared: for callers that collect and
+    /// sort vertex pairs (recommendation scoring collects its wedges)
     /// without owning a staging vector.
-    pub fn collect_common(&mut self, a: &[VertexId], b: &[VertexId]) -> &[VertexId] {
-        let mut buf = std::mem::take(&mut self.buf_a);
-        buf.clear();
-        crate::intersect::merge_collect(a, b, &mut buf);
-        self.buf_a = buf;
-        &self.buf_a
+    pub fn pairs(&mut self) -> &mut Vec<(VertexId, VertexId)> {
+        self.pairs.clear();
+        &mut self.pairs
     }
 
     /// Intersection count of two sorted iterators: stages both into the

@@ -31,8 +31,13 @@ pub fn recommend_for(g: &CsrGraph, source: VertexId, k: usize) -> Vec<RecommendS
     with_thread_scratch(|scratch| recommend_for_with(g, source, k, scratch))
 }
 
-/// [`recommend_for`] with the common-neighbour lists staged in a
-/// caller-owned scratch.
+/// [`recommend_for`] with the wedges staged in a caller-owned scratch.
+///
+/// Walks each wedge `source – w – c` once: every `(c, w)` with `w` a
+/// neighbour of `source` and `c` a neighbour of `w` outside
+/// `{source} ∪ N(source)` is collected, the pairs are sorted, and each
+/// run of equal `c` is one candidate whose common neighbours are the
+/// run's `w`s in ascending order.
 pub fn recommend_for_with(
     g: &CsrGraph,
     source: VertexId,
@@ -40,23 +45,26 @@ pub fn recommend_for_with(
     scratch: &mut Scratch,
 ) -> Vec<RecommendScore> {
     let nbrs = g.neighbors(source);
-    let mut candidate_set: Vec<VertexId> = nbrs
-        .iter()
-        .flat_map(|&v| g.neighbors(v).iter().copied())
-        .filter(|&w| w != source && !g.has_edge(source, w))
-        .collect();
-    candidate_set.sort_unstable();
-    candidate_set.dedup();
-
-    let mut scored: Vec<RecommendScore> = candidate_set
-        .into_iter()
-        .map(|c| {
-            let shared = scratch.collect_common(nbrs, g.neighbors(c));
-            let common = shared.len() as u32;
-            let union = nbrs.len() + g.degree(c) - common as usize;
-            let adamic_adar = shared
+    let wedges = scratch.pairs();
+    for &w in nbrs {
+        wedges.extend(
+            g.neighbors(w)
                 .iter()
-                .map(|&w| {
+                .filter(|&&c| c != source && !g.has_edge(source, c))
+                .map(|&c| (c, w)),
+        );
+    }
+    wedges.sort_unstable();
+
+    let mut scored: Vec<RecommendScore> = wedges
+        .chunk_by(|a, b| a.0 == b.0)
+        .map(|run| {
+            let c = run[0].0;
+            let common = run.len() as u32;
+            let union = nbrs.len() + g.degree(c) - common as usize;
+            let adamic_adar = run
+                .iter()
+                .map(|&(_, w)| {
                     let d = g.degree(w) as f64;
                     if d > 1.0 {
                         1.0 / d.ln()
