@@ -1,54 +1,40 @@
-//! Compact binary graph format, plus the checksummed frame layer the
-//! persistence subsystem (`tc-persist`) builds its snapshot and WAL
-//! files on.
+//! Checksummed frames, the file layer the persistence subsystem
+//! (`tc-persist`) builds its snapshot and WAL files on, and the one
+//! encoding of a [`CsrGraph`] those frames carry.
 //!
-//! Text edge lists re-parse slowly and lose the canonical CSR layout; this
-//! versioned little-endian binary format round-trips a [`CsrGraph`]
-//! exactly:
-//!
-//! ```text
-//! magic   8 bytes  b"TCGRAPH1"
-//! n       8 bytes  u64 vertex count
-//! m       8 bytes  u64 undirected edge count
-//! offsets (n+1) × u64
-//! adjacency 2m × u32
-//! ```
-//!
-//! The raw format detects *structural* corruption (the CSR invariants are
-//! re-validated on read) but not silent payload bit-flips. The **frame**
-//! layer adds end-to-end integrity: a magic/version header, a 4-byte
-//! content tag, the payload length, and a CRC32 of the payload —
-//! corruption anywhere surfaces as a typed [`BinError`], never a panic
-//! and never a silently-wrong graph:
+//! A frame gives its payload end-to-end integrity: a magic/version
+//! header, a 4-byte content tag, the payload length, and a CRC32 of the
+//! payload. Corruption anywhere surfaces as a typed [`BinError`], never a
+//! panic and never a silently wrong value:
 //!
 //! ```text
 //! magic   4 bytes  b"TCFR"
 //! version 2 bytes  u16 = 1
-//! tag     4 bytes  content kind (e.g. b"CSRG", or tc-persist's tags)
+//! tag     4 bytes  content kind (tc-persist's tags)
 //! len     8 bytes  u64 payload length
 //! crc     4 bytes  CRC32 (IEEE) of the payload
 //! payload len bytes
 //! ```
 //!
-//! [`write_frame`]/[`read_frame`] are content-agnostic (tc-persist frames
-//! its snapshot records and WAL entries through them);
-//! [`write_binary_checked`]/[`read_binary_checked`] are the
-//! graph-payload convenience pair.
+//! [`write_frame`]/[`read_frame`] are content-agnostic. Inside a payload,
+//! a graph is the little-endian CSR that [`graph_to_bytes`] writes and
+//! [`graph_from_bytes`] reads back, re-validating every CSR invariant:
+//!
+//! ```text
+//! n         8 bytes  u64 vertex count
+//! m         8 bytes  u64 undirected edge count
+//! offsets   (n+1) × u64
+//! adjacency 2m × u32
+//! ```
 
 use crate::{CsrGraph, VertexId};
 use std::io::{Read, Write};
-
-/// Format magic + version.
-pub const MAGIC: &[u8; 8] = b"TCGRAPH1";
 
 /// Frame-layer magic.
 pub const FRAME_MAGIC: &[u8; 4] = b"TCFR";
 
 /// Frame-layer format version.
 pub const FRAME_VERSION: u16 = 1;
-
-/// Frame tag for a checksummed [`CsrGraph`] payload.
-pub const TAG_GRAPH: [u8; 4] = *b"CSRG";
 
 /// Defensive cap on a single frame payload (16 GiB): header `len` fields
 /// beyond it are treated as corruption, not allocation requests.
@@ -99,25 +85,8 @@ impl From<std::io::Error> for BinError {
     }
 }
 
-/// Writes a graph in the binary format.
-pub fn write_binary<W: Write>(g: &CsrGraph, mut w: W) -> Result<(), BinError> {
-    w.write_all(MAGIC)?;
-    encode_graph(g, &mut w)?;
-    Ok(())
-}
-
-/// Reads a graph in the binary format, validating all invariants.
-pub fn read_binary<R: Read>(mut r: R) -> Result<CsrGraph, BinError> {
-    let mut magic = [0u8; 8];
-    r.read_exact(&mut magic)?;
-    if &magic != MAGIC {
-        return Err(BinError::BadMagic);
-    }
-    decode_graph(&mut r)
-}
-
-/// The CSR body every graph format shares: `n`, `m`, the offsets and
-/// the adjacency, little-endian.
+/// The graph payload: `n`, `m`, the offsets and the adjacency,
+/// little-endian.
 fn encode_graph(g: &CsrGraph, w: &mut impl Write) -> std::io::Result<()> {
     w.write_all(&(g.num_vertices() as u64).to_le_bytes())?;
     w.write_all(&(g.num_edges() as u64).to_le_bytes())?;
@@ -130,8 +99,8 @@ fn encode_graph(g: &CsrGraph, w: &mut impl Write) -> std::io::Result<()> {
     Ok(())
 }
 
-/// The one CSR decoder: reads an [`encode_graph`] body and re-validates
-/// every CSR invariant.
+/// The one CSR decoder: reads an [`encode_graph`] payload and
+/// re-validates every CSR invariant.
 fn decode_graph(r: &mut impl Read) -> Result<CsrGraph, BinError> {
     let n = read_u64(r)? as usize;
     let m = read_u64(r)? as usize;
@@ -199,7 +168,7 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 /// One decoded frame: its content tag and verified payload.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Frame {
-    /// Content kind (writer-defined, e.g. [`TAG_GRAPH`]).
+    /// Content kind (writer-defined).
     pub tag: [u8; 4],
     /// The payload, already CRC-verified.
     pub payload: Vec<u8>,
@@ -273,11 +242,10 @@ fn truncated_on_eof(e: std::io::Error) -> BinError {
     }
 }
 
-// --- Checksummed graph format ---------------------------------------------
+// --- Graph payload ---------------------------------------------------------
 
-/// Serializes a graph into the raw (unframed) payload bytes: the v1
-/// body without its magic. `tc-persist` embeds these inside its own
-/// frames.
+/// Serializes a graph into payload bytes; `tc-persist` embeds these
+/// inside its own frames.
 pub fn graph_to_bytes(g: &CsrGraph) -> Vec<u8> {
     let mut buf = Vec::with_capacity(16 + (g.num_vertices() + 1) * 8 + 2 * g.num_edges() * 4);
     encode_graph(g, &mut buf).expect("writing to a Vec cannot fail");
@@ -290,29 +258,28 @@ pub fn graph_from_bytes(mut bytes: &[u8]) -> Result<CsrGraph, BinError> {
     decode_graph(&mut bytes)
 }
 
-/// Writes a graph as one checksummed frame ([`TAG_GRAPH`]): the
-/// bit-flip-detecting counterpart of [`write_binary`].
-pub fn write_binary_checked<W: Write>(g: &CsrGraph, w: W) -> Result<(), BinError> {
-    write_frame(w, TAG_GRAPH, &graph_to_bytes(g))
-}
-
-/// Reads a graph written by [`write_binary_checked`], verifying the
-/// checksum before any structural validation.
-pub fn read_binary_checked<R: Read>(r: R) -> Result<CsrGraph, BinError> {
-    let frame = read_frame(r)?.ok_or(BinError::Truncated)?;
-    if frame.tag != TAG_GRAPH {
-        return Err(BinError::Corrupt(format!(
-            "unexpected frame tag {:?} (wanted CSRG)",
-            frame.tag
-        )));
-    }
-    graph_from_bytes(&frame.payload)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators::{erdos_renyi, power_law_configuration};
+
+    const TAG: [u8; 4] = *b"TEST";
+
+    /// `g` as one frame, the way tc-persist frames its graphs.
+    fn framed(g: &CsrGraph) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, TAG, &graph_to_bytes(g)).expect("write");
+        buf
+    }
+
+    /// Reads one frame, checks its tag and decodes the graph inside.
+    fn unframe(bytes: &[u8]) -> Result<CsrGraph, BinError> {
+        let frame = read_frame(bytes)?.ok_or(BinError::Truncated)?;
+        if frame.tag != TAG {
+            return Err(BinError::Corrupt(format!("tag {:?}", frame.tag)));
+        }
+        graph_from_bytes(&frame.payload)
+    }
 
     #[test]
     fn round_trips_exactly() {
@@ -322,46 +289,56 @@ mod tests {
             erdos_renyi(100, 300, 1),
             power_law_configuration(200, 2.2, 6.0, 2),
         ] {
-            let mut buf = Vec::new();
-            write_binary(&g, &mut buf).expect("write");
-            let h = read_binary(&buf[..]).expect("read");
-            assert_eq!(g, h);
+            assert_eq!(graph_from_bytes(&graph_to_bytes(&g)).expect("read"), g);
         }
     }
 
     #[test]
     fn rejects_wrong_magic() {
-        let err = read_binary(&b"NOTAGRPH________"[..]).unwrap_err();
-        assert!(matches!(err, BinError::BadMagic));
+        let mut buf = framed(&erdos_renyi(20, 40, 2));
+        buf[0] ^= 0xFF;
+        assert!(matches!(read_frame(&buf[..]), Err(BinError::BadMagic)));
     }
 
     #[test]
     fn rejects_truncated_payload() {
-        let g = erdos_renyi(50, 120, 3);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).expect("write");
+        let mut buf = graph_to_bytes(&erdos_renyi(50, 120, 3));
         buf.truncate(buf.len() - 5);
-        assert!(read_binary(&buf[..]).is_err());
+        assert!(graph_from_bytes(&buf).is_err());
     }
 
     #[test]
     fn rejects_tampered_adjacency() {
-        let g = erdos_renyi(50, 120, 3);
-        let mut buf = Vec::new();
-        write_binary(&g, &mut buf).expect("write");
+        let mut buf = graph_to_bytes(&erdos_renyi(50, 120, 3));
         // Flip a byte inside the adjacency region (breaks symmetry/sorting).
         let idx = buf.len() - 3;
         buf[idx] ^= 0xFF;
-        assert!(matches!(read_binary(&buf[..]), Err(BinError::Corrupt(_))));
+        assert!(matches!(graph_from_bytes(&buf), Err(BinError::Corrupt(_))));
+    }
+
+    #[test]
+    fn rejects_corrupt_offsets() {
+        let g = erdos_renyi(50, 120, 3);
+        let clean = graph_to_bytes(&g);
+        // offsets[1] past the adjacency, then offsets[n] short of 2m.
+        let n = g.num_vertices();
+        for (at, value) in [(1, u64::MAX), (n, 0)] {
+            let mut buf = clean.clone();
+            let start = 16 + 8 * at;
+            buf[start..start + 8].copy_from_slice(&value.to_le_bytes());
+            assert!(
+                matches!(graph_from_bytes(&buf), Err(BinError::Corrupt(_))),
+                "offsets[{at}] = {value}"
+            );
+        }
     }
 
     #[test]
     fn rejects_implausible_header() {
         let mut buf = Vec::new();
-        buf.extend_from_slice(MAGIC);
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
         buf.extend_from_slice(&u64::MAX.to_le_bytes());
-        assert!(matches!(read_binary(&buf[..]), Err(BinError::Corrupt(_))));
+        assert!(matches!(graph_from_bytes(&buf), Err(BinError::Corrupt(_))));
     }
 
     #[test]
@@ -392,25 +369,16 @@ mod tests {
     }
 
     #[test]
-    fn checked_format_round_trips() {
-        let g = erdos_renyi(100, 300, 1);
-        let mut buf = Vec::new();
-        write_binary_checked(&g, &mut buf).expect("write");
-        assert_eq!(read_binary_checked(&buf[..]).expect("read"), g);
-    }
-
-    #[test]
     fn every_flipped_byte_is_detected() {
-        // The satellite guarantee: flip ANY single byte of a checked
-        // file and reading reports a typed error — never a panic, never
-        // a silently different graph.
+        // Flip ANY single byte of a framed graph and reading reports a
+        // typed error — never a panic, never a silently different graph.
         let g = erdos_renyi(30, 60, 7);
-        let mut clean = Vec::new();
-        write_binary_checked(&g, &mut clean).expect("write");
+        let clean = framed(&g);
+        assert_eq!(unframe(&clean).expect("clean frame"), g);
         for idx in 0..clean.len() {
             let mut buf = clean.clone();
             buf[idx] ^= 0x40;
-            match read_binary_checked(&buf[..]) {
+            match unframe(&buf) {
                 Err(_) => {}
                 Ok(h) => panic!("flip at byte {idx} went undetected (got {h:?})"),
             }
@@ -419,17 +387,12 @@ mod tests {
         let payload_start = clean.len() - 8;
         let mut buf = clean.clone();
         buf[payload_start] ^= 0xFF;
-        assert!(matches!(
-            read_binary_checked(&buf[..]),
-            Err(BinError::Checksum { .. })
-        ));
+        assert!(matches!(unframe(&buf), Err(BinError::Checksum { .. })));
     }
 
     #[test]
     fn torn_frames_are_distinguished_from_clean_eof() {
-        let g = erdos_renyi(20, 40, 2);
-        let mut buf = Vec::new();
-        write_binary_checked(&g, &mut buf).expect("write");
+        let buf = framed(&erdos_renyi(20, 40, 2));
         // Cut inside the payload: torn.
         let torn = &buf[..buf.len() - 3];
         assert!(matches!(read_frame(torn), Err(BinError::Truncated)));

@@ -86,9 +86,8 @@ proptest! {
     #[test]
     fn binary_io_round_trips(seed in 0u64..500) {
         let g = erdos_renyi(60, 180, seed);
-        let mut buf = Vec::new();
-        tc_graph::binary_io::write_binary(&g, &mut buf).expect("write");
-        let h = tc_graph::binary_io::read_binary(&buf[..]).expect("read");
+        let bytes = tc_graph::binary_io::graph_to_bytes(&g);
+        let h = tc_graph::binary_io::graph_from_bytes(&bytes).expect("read");
         prop_assert_eq!(g, h);
     }
 
