@@ -20,6 +20,11 @@
 //! All GPU algorithms consume a [`tc_graph::DirectedGraph`] (the output of
 //! an edge-directing scheme) and count each triangle exactly once as the
 //! directed pattern `u→v, u→w, v→w`.
+//!
+//! A kernel is a [`KernelGen`], and [`run_kernel`] simulates it on the
+//! calling thread: the engine asks for each block's trace in grid order
+//! as an SM slot frees, and the generator builds it there and then, so a
+//! simulation spawns no thread and holds only its resident blocks.
 
 pub mod bisson;
 pub mod cpu;
