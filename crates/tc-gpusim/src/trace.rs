@@ -294,9 +294,10 @@ impl ExactSizeIterator for Ops<'_> {}
 
 /// A lazily generated sequence of block traces.
 ///
-/// The engine pulls blocks on demand as SM slots free up, so a kernel with
-/// hundreds of thousands of blocks never materializes more than
-/// `num_sms × blocks_per_sm` traces at once. Implementations regenerate
+/// The engine pulls blocks on demand as SM slots free up, in grid order and
+/// on the simulating thread, so a kernel with hundreds of thousands of
+/// blocks never materializes more than `num_sms × blocks_per_sm` traces at
+/// once, and a generator needs no synchronisation. Implementations regenerate
 /// each block's ops from the graph — deterministic, so repeated calls with
 /// the same index must return the same trace.
 ///
