@@ -611,6 +611,15 @@ impl Engine {
                     ("shard", u(i as u64)),
                     ("requests", u(requests)),
                     (
+                        "workers",
+                        Json::Arr(
+                            m.worker_jobs
+                                .iter()
+                                .map(|jobs| u(jobs.load(Ordering::Relaxed)))
+                                .collect(),
+                        ),
+                    ),
+                    (
                         "queue",
                         obj(vec![
                             ("depth", u(m.queue_depth.load(Ordering::Relaxed) as u64)),
@@ -803,7 +812,7 @@ mod tests {
             shards: (0..shards)
                 .map(|_| Shard {
                     registry: GraphRegistry::new(usize::MAX, ModelParams::default_analytic()),
-                    metrics: ServiceMetrics::default(),
+                    metrics: ServiceMetrics::new(1),
                     subs: SubscriptionRegistry::new(),
                 })
                 .collect(),

@@ -114,19 +114,8 @@ pub struct ServiceMetrics {
     pub rejected_shutdown: AtomicU64,
     /// Requests dropped unexecuted because their deadline passed in queue.
     pub expired_deadline: AtomicU64,
-}
-
-impl Default for ServiceMetrics {
-    fn default() -> Self {
-        Self {
-            per_op: (0..Op::ALL.len()).map(|_| OpMetrics::default()).collect(),
-            queue_depth: AtomicUsize::new(0),
-            queue_peak: AtomicUsize::new(0),
-            rejected_overload: AtomicU64::new(0),
-            rejected_shutdown: AtomicU64::new(0),
-            expired_deadline: AtomicU64::new(0),
-        }
-    }
+    /// Jobs each of this shard's workers answered, by worker number.
+    pub worker_jobs: Vec<AtomicU64>,
 }
 
 /// Counters that exist *before* a request is routed to a shard — they
@@ -140,6 +129,19 @@ pub struct RouterMetrics {
 }
 
 impl ServiceMetrics {
+    /// Zeroed metrics for a shard with `workers` worker threads.
+    pub fn new(workers: usize) -> Self {
+        Self {
+            per_op: (0..Op::ALL.len()).map(|_| OpMetrics::default()).collect(),
+            queue_depth: AtomicUsize::new(0),
+            queue_peak: AtomicUsize::new(0),
+            rejected_overload: AtomicU64::new(0),
+            rejected_shutdown: AtomicU64::new(0),
+            expired_deadline: AtomicU64::new(0),
+            worker_jobs: (0..workers).map(|_| AtomicU64::new(0)).collect(),
+        }
+    }
+
     /// Counters for one op.
     pub fn op(&self, op: Op) -> &OpMetrics {
         &self.per_op[op.index()]
@@ -164,6 +166,11 @@ impl ServiceMetrics {
     /// Drops the queue-depth gauge on dequeue.
     pub fn queue_left(&self) {
         self.queue_depth.fetch_sub(1, Ordering::Relaxed);
+    }
+
+    /// Counts one job answered by worker `worker`.
+    pub fn worker_ran(&self, worker: usize) {
+        self.worker_jobs[worker].fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -219,7 +226,7 @@ mod tests {
 
     #[test]
     fn queue_gauge_tracks_peak() {
-        let m = ServiceMetrics::default();
+        let m = ServiceMetrics::new(1);
         m.queue_entered();
         m.queue_entered();
         m.queue_left();
@@ -230,7 +237,7 @@ mod tests {
 
     #[test]
     fn completion_recording() {
-        let m = ServiceMetrics::default();
+        let m = ServiceMetrics::new(1);
         m.record_completion(Op::Count, 500, false);
         m.record_completion(Op::Count, 700, true);
         let op = m.op(Op::Count);

@@ -12,6 +12,9 @@
 //!    hold subscriptions on datasets owned by different shards and
 //!    receives every push, and `unsubscribe` finds the owning shard.
 //! 4. **Drain** — shutdown completes in-flight work on *every* shard.
+//! 5. **Wake order** — a shard hands each job to its lowest-numbered
+//!    free worker, so `stats`' per-worker counts show sequential work on
+//!    one worker and pipelined work spread one job per worker.
 
 use std::time::{Duration, Instant};
 use tc_datasets::Dataset;
@@ -339,4 +342,54 @@ fn drain_completes_inflight_work_on_every_shard() {
     let t = Instant::now();
     server.join();
     assert!(t.elapsed() < Duration::from_secs(5), "drain took too long");
+}
+
+/// Each shard row's `workers`: how many jobs each of its workers ran.
+fn worker_jobs(client: &mut ServiceClient) -> Vec<u64> {
+    let stats = client.request_ok(r#"{"op":"stats"}"#).expect("stats");
+    let Some(Json::Arr(rows)) = stats.get("shards") else {
+        panic!("stats must carry a per-shard array: {stats:?}");
+    };
+    let Some(Json::Arr(workers)) = rows[0].get("workers") else {
+        panic!("a shard row must carry per-worker job counts: {stats:?}");
+    };
+    workers
+        .iter()
+        .map(|jobs| jobs.as_u64().expect("a job count"))
+        .collect()
+}
+
+/// One client sending one request at a time never has more than one job
+/// in flight, so the shard hands every job to its lowest-numbered worker
+/// and the other three never run (or allocate) anything.
+#[test]
+fn sequential_requests_all_run_on_worker_zero() {
+    let server = server_with_shards(1, 4, 64);
+    let mut client = ServiceClient::connect(server.addr()).expect("connect");
+    let requests = [
+        r#"{"op":"count","dataset":"email-Eucore"}"#,
+        r#"{"op":"ping"}"#,
+        r#"{"op":"recommend","dataset":"email-Eucore","source":0,"k":3}"#,
+        r#"{"op":"update","dataset":"email-Eucore","edges":[[10,20]]}"#,
+        r#"{"op":"sleep","ms":1}"#,
+    ];
+    for line in requests.iter().cycle().take(50) {
+        client.request_ok(line).expect("sequential request");
+    }
+    // `stats` counts the jobs answered before it, not itself.
+    assert_eq!(worker_jobs(&mut client), [50, 0, 0, 0]);
+    server.shutdown();
+}
+
+/// Four pipelined sleeps are in flight at once, so each goes to its own
+/// worker, lowest-numbered free first.
+#[test]
+fn pipelined_sleeps_run_one_on_each_worker() {
+    let server = server_with_shards(1, 4, 64);
+    let mut client = ServiceClient::connect(server.addr()).expect("connect");
+    let sleep = r#"{"op":"sleep","ms":200}"#;
+    let responses = client.pipeline(&[sleep; 4]).expect("pipelined sleeps");
+    assert!(responses.iter().all(|r| r.contains(r#""ok":true"#)));
+    assert_eq!(worker_jobs(&mut client), [1, 1, 1, 1]);
+    server.shutdown();
 }
