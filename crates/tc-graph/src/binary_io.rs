@@ -37,7 +37,7 @@ pub const FRAME_MAGIC: &[u8; 4] = b"TCFR";
 pub const FRAME_VERSION: u16 = 1;
 
 /// Defensive cap on a single frame payload (16 GiB): header `len` fields
-/// beyond it are treated as corruption, not allocation requests.
+/// beyond it are treated as corruption.
 const MAX_FRAME_PAYLOAD: u64 = 1 << 34;
 
 /// Errors from binary (de)serialization.
@@ -100,25 +100,35 @@ fn encode_graph(g: &CsrGraph, w: &mut impl Write) -> std::io::Result<()> {
 }
 
 /// The one CSR decoder: reads an [`encode_graph`] payload and
-/// re-validates every CSR invariant.
-fn decode_graph(r: &mut impl Read) -> Result<CsrGraph, BinError> {
-    let n = read_u64(r)? as usize;
-    let m = read_u64(r)? as usize;
-    // Defensive cap: offsets/adjacency allocations derive from the header.
-    if n > (1 << 33) || m > (1 << 36) {
+/// re-validates every CSR invariant. The header's counts must fit in the
+/// bytes that follow it before anything is allocated for them.
+fn decode_graph(mut bytes: &[u8]) -> Result<CsrGraph, BinError> {
+    let n = read_u64(&mut bytes)?;
+    let m = read_u64(&mut bytes)?;
+    // (n + 1) offsets of 8 bytes, then 2m neighbours of 4.
+    let offset_bytes = n.checked_add(1).and_then(|o| o.checked_mul(8));
+    let needed = offset_bytes
+        .zip(m.checked_mul(8))
+        .and_then(|(o, a)| o.checked_add(a));
+    let (Some(offset_bytes), Some(needed)) = (offset_bytes, needed) else {
         return Err(BinError::Corrupt(format!("implausible sizes n={n} m={m}")));
+    };
+    if needed > bytes.len() as u64 {
+        return Err(BinError::Corrupt(format!(
+            "n={n} m={m} need {needed} bytes, {} remain",
+            bytes.len()
+        )));
     }
-    let mut offsets = Vec::with_capacity(n + 1);
-    for _ in 0..=n {
-        offsets.push(read_u64(r)? as usize);
-    }
-    let mut neighbors: Vec<VertexId> = Vec::with_capacity(2 * m);
-    let mut buf = [0u8; 4];
-    for _ in 0..2 * m {
-        r.read_exact(&mut buf)?;
-        neighbors.push(u32::from_le_bytes(buf));
-    }
-    if offsets.last().copied() != Some(2 * m) {
+    let (offsets, neighbors) = bytes[..needed as usize].split_at(offset_bytes as usize);
+    let offsets: Vec<usize> = offsets
+        .chunks_exact(8)
+        .map(|o| u64::from_le_bytes(o.try_into().expect("8 bytes")) as usize)
+        .collect();
+    let neighbors: Vec<VertexId> = neighbors
+        .chunks_exact(4)
+        .map(|v| u32::from_le_bytes(v.try_into().expect("4 bytes")))
+        .collect();
+    if offsets.last().map(|&o| o as u64) != Some(2 * m) {
         return Err(BinError::Corrupt("offsets and edge count disagree".into()));
     }
     CsrGraph::try_from_parts(offsets, neighbors).map_err(BinError::Corrupt)
@@ -225,8 +235,13 @@ pub fn read_frame<R: Read>(mut r: R) -> Result<Option<Frame>, BinError> {
         )));
     }
     let expected = u32::from_le_bytes(header[14..18].try_into().expect("4 bytes"));
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload).map_err(truncated_on_eof)?;
+    // The buffer grows with the bytes actually read, so a corrupt length
+    // cannot ask for more memory than the stream holds.
+    let mut payload = Vec::new();
+    r.take(len).read_to_end(&mut payload)?;
+    if payload.len() as u64 != len {
+        return Err(BinError::Truncated);
+    }
     let actual = crc32(&payload);
     if actual != expected {
         return Err(BinError::Checksum { expected, actual });
@@ -253,9 +268,9 @@ pub fn graph_to_bytes(g: &CsrGraph) -> Vec<u8> {
 }
 
 /// Deserializes [`graph_to_bytes`] output, re-validating every CSR
-/// invariant.
-pub fn graph_from_bytes(mut bytes: &[u8]) -> Result<CsrGraph, BinError> {
-    decode_graph(&mut bytes)
+/// invariant. Counts that overrun `bytes` are [`BinError::Corrupt`].
+pub fn graph_from_bytes(bytes: &[u8]) -> Result<CsrGraph, BinError> {
+    decode_graph(bytes)
 }
 
 #[cfg(test)]
@@ -342,6 +357,21 @@ mod tests {
     }
 
     #[test]
+    fn rejects_counts_beyond_the_payload() {
+        // Counts that pass any fixed cap but overrun the bytes that are
+        // there: no allocation is attempted for them.
+        for (n, m) in [((1u64 << 33) - 1, 0u64), (0, 1 << 35), (3, 1)] {
+            let mut buf = Vec::new();
+            buf.extend_from_slice(&n.to_le_bytes());
+            buf.extend_from_slice(&m.to_le_bytes());
+            assert!(
+                matches!(graph_from_bytes(&buf), Err(BinError::Corrupt(_))),
+                "n={n} m={m}"
+            );
+        }
+    }
+
+    #[test]
     fn crc32_matches_known_vectors() {
         // Standard IEEE check values.
         assert_eq!(crc32(b""), 0);
@@ -400,5 +430,14 @@ mod tests {
         assert!(matches!(read_frame(&buf[..9]), Err(BinError::Truncated)));
         // No bytes at all: clean end-of-stream.
         assert!(read_frame(&[][..]).expect("clean").is_none());
+    }
+
+    #[test]
+    fn a_length_beyond_the_stream_is_torn_not_allocated() {
+        let mut buf = Vec::new();
+        write_frame(&mut buf, TAG, b"").expect("write");
+        // The header's payload length, raised to the largest accepted.
+        buf[10..18].copy_from_slice(&MAX_FRAME_PAYLOAD.to_le_bytes());
+        assert!(matches!(read_frame(&buf[..]), Err(BinError::Truncated)));
     }
 }

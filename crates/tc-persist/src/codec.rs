@@ -206,20 +206,28 @@ impl<'a> Reader<'a> {
         std::str::from_utf8(self.take(len)?).map_err(|_| corrupt("non-UTF-8 string field"))
     }
 
-    pub(crate) fn bytes(&mut self) -> Result<&'a [u8], PersistError> {
-        let len = self.u64()?;
-        if len > (1 << 34) {
-            return Err(corrupt("implausible blob length"));
+    /// Reads a count of `item_bytes`-byte items and checks that they fit
+    /// in the bytes left, so no count can ask for more memory than its
+    /// payload holds.
+    fn count(&mut self, item_bytes: u64) -> Result<usize, PersistError> {
+        let n = self.u64()?;
+        let left = (self.buf.len() - self.pos) as u64;
+        match n.checked_mul(item_bytes) {
+            Some(bytes) if bytes <= left => Ok(n as usize),
+            _ => Err(corrupt(format!(
+                "{n} items of {item_bytes} bytes overrun the {left} bytes left"
+            ))),
         }
-        self.take(len as usize)
+    }
+
+    pub(crate) fn bytes(&mut self) -> Result<&'a [u8], PersistError> {
+        let len = self.count(1)?;
+        self.take(len)
     }
 
     fn pairs(&mut self) -> Result<Vec<(VertexId, VertexId)>, PersistError> {
-        let n = self.u64()?;
-        if n > (1 << 33) {
-            return Err(corrupt("implausible pair count"));
-        }
-        let mut out = Vec::with_capacity(n as usize);
+        let n = self.count(8)?;
+        let mut out = Vec::with_capacity(n);
         for _ in 0..n {
             let u = self.u32()?;
             let v = self.u32()?;
@@ -292,27 +300,18 @@ pub fn decode_entry(payload: &[u8]) -> Result<EntryRecord, PersistError> {
         1 => Some(r.u64()?),
         b => return Err(corrupt(format!("bad triangles-present flag {b}"))),
     };
-    let n_off = r.u64()?;
-    if n_off > (1 << 33) {
-        return Err(corrupt("implausible directed offset count"));
-    }
-    let mut offsets = Vec::with_capacity(n_off as usize);
+    let n_off = r.count(8)?;
+    let mut offsets = Vec::with_capacity(n_off);
     for _ in 0..n_off {
         offsets.push(r.u64()? as usize);
     }
-    let n_out = r.u64()?;
-    if n_out > (1 << 36) {
-        return Err(corrupt("implausible directed edge count"));
-    }
-    let mut out_neighbors: Vec<VertexId> = Vec::with_capacity(n_out as usize);
+    let n_out = r.count(4)?;
+    let mut out_neighbors: Vec<VertexId> = Vec::with_capacity(n_out);
     for _ in 0..n_out {
         out_neighbors.push(r.u32()?);
     }
-    let n_perm = r.u64()?;
-    if n_perm > (1 << 33) {
-        return Err(corrupt("implausible permutation length"));
-    }
-    let mut old_to_new: Vec<VertexId> = Vec::with_capacity(n_perm as usize);
+    let n_perm = r.count(4)?;
+    let mut old_to_new: Vec<VertexId> = Vec::with_capacity(n_perm);
     for _ in 0..n_perm {
         old_to_new.push(r.u32()?);
     }
@@ -424,11 +423,9 @@ pub fn decode_wal(payload: &[u8]) -> Result<WalRecord, PersistError> {
     let dataset_name = r.str()?;
     let dataset = parse_dataset_token(dataset_name)
         .ok_or_else(|| corrupt(format!("unknown dataset token \"{dataset_name}\"")))?;
-    let n = r.u64()?;
-    if n > (1 << 33) {
-        return Err(corrupt("implausible op count"));
-    }
-    let mut ops = Vec::with_capacity(n as usize);
+    // One kind byte and two endpoints per op.
+    let n = r.count(9)?;
+    let mut ops = Vec::with_capacity(n);
     for _ in 0..n {
         let kind = r.take(1)?[0];
         let u = r.u32()?;
@@ -541,6 +538,79 @@ mod tests {
         };
         let buf = encode_wal(&rec);
         assert_eq!(decode_wal(&buf).expect("decode"), rec);
+    }
+
+    /// An entry payload's fields up to its directed offsets.
+    fn entry_prefix() -> Vec<u8> {
+        let mut buf = Vec::new();
+        put_str(&mut buf, Dataset::EmailEucore.name());
+        put_str(&mut buf, direction_token(DirectionScheme::ADirection));
+        put_str(&mut buf, ordering_token(OrderingScheme::AOrder));
+        put_u32(&mut buf, 64);
+        buf.push(0);
+        buf
+    }
+
+    /// A count that fits any fixed cap but not the bytes after it.
+    const HUGE: u64 = (1 << 33) - 1;
+
+    fn is_corrupt<T>(decoded: Result<T, PersistError>) -> bool {
+        matches!(decoded, Err(PersistError::Corrupt(_)))
+    }
+
+    #[test]
+    fn entry_offset_count_beyond_the_payload_is_corrupt() {
+        let mut buf = entry_prefix();
+        put_u64(&mut buf, HUGE);
+        assert!(is_corrupt(decode_entry(&buf)));
+    }
+
+    #[test]
+    fn entry_out_neighbour_count_beyond_the_payload_is_corrupt() {
+        let mut buf = entry_prefix();
+        put_u64(&mut buf, 1);
+        put_u64(&mut buf, 0);
+        put_u64(&mut buf, HUGE);
+        assert!(is_corrupt(decode_entry(&buf)));
+    }
+
+    #[test]
+    fn entry_permutation_length_beyond_the_payload_is_corrupt() {
+        let mut buf = entry_prefix();
+        put_u64(&mut buf, 1);
+        put_u64(&mut buf, 0);
+        put_u64(&mut buf, 0);
+        put_u64(&mut buf, HUGE);
+        assert!(is_corrupt(decode_entry(&buf)));
+    }
+
+    #[test]
+    fn stream_pair_counts_beyond_the_payload_are_corrupt() {
+        let rec = StreamRecord {
+            dataset: Dataset::EmailEucore,
+            last_seq: 0,
+            snapshot: DynamicGraph::new(tc_graph::CsrGraph::empty(3)).snapshot(),
+        };
+        let clean = encode_stream(&rec);
+        // The payload ends with two empty pair lists: adds, then dels.
+        let lists = clean.len() - 16;
+        for (list, counts) in [("adds", [HUGE, 0]), ("dels", [0, HUGE])] {
+            let mut buf = clean[..lists].to_vec();
+            for n in counts {
+                put_u64(&mut buf, n);
+            }
+            assert!(is_corrupt(decode_stream(&buf)), "{list}");
+        }
+    }
+
+    #[test]
+    fn wal_op_count_beyond_the_payload_is_corrupt() {
+        let mut buf = Vec::new();
+        put_u64(&mut buf, 1);
+        put_str(&mut buf, Dataset::EmailEucore.name());
+        put_u64(&mut buf, HUGE);
+        assert_eq!(buf.len(), 32);
+        assert!(is_corrupt(decode_wal(&buf)));
     }
 
     #[test]
