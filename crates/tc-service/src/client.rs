@@ -16,6 +16,7 @@
 //! blocking on the socket.
 
 use crate::json::{self, Json};
+use crate::protocol::write_line;
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -108,8 +109,7 @@ impl ServiceClient {
     /// Sends one raw request line and returns the raw response line
     /// (no trailing newline).
     pub fn request_raw(&mut self, line: &str) -> std::io::Result<String> {
-        self.writer.write_all(line.as_bytes())?;
-        self.writer.write_all(b"\n")?;
+        write_line(&mut self.writer, line)?;
         self.read_response_line()
     }
 

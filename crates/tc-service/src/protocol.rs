@@ -775,9 +775,47 @@ pub fn error_response(id: Option<&Json>, op: Option<Op>, err: &ServiceError) -> 
     Json::Obj(members).to_string_compact()
 }
 
+/// Sends one wire line and its newline in a single write, so a
+/// `TCP_NODELAY` socket carries them in one send and the reader reaches
+/// the newline in one read.
+pub(crate) fn write_line(w: &mut impl std::io::Write, line: &str) -> std::io::Result<()> {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    w.write_all(&buf)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// A sink that records each `write` call it receives.
+    #[derive(Default)]
+    struct CountingWrite {
+        writes: Vec<Vec<u8>>,
+    }
+
+    impl std::io::Write for CountingWrite {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes.push(buf.to_vec());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_line_and_its_newline_go_out_in_one_write() {
+        let mut sink = CountingWrite::default();
+        write_line(&mut sink, r#"{"op":"ping"}"#).unwrap();
+        write_line(&mut sink, "").unwrap();
+        assert_eq!(
+            sink.writes,
+            vec![b"{\"op\":\"ping\"}\n".to_vec(), b"\n".to_vec()]
+        );
+    }
 
     #[test]
     fn count_request_defaults_to_paper_schemes() {
