@@ -23,9 +23,9 @@ echo "==> tier-1: cargo build --release && cargo test -q (every workspace crate,
 cargo build --release
 cargo test -q
 
-echo "==> request_order and analytics_e2e, 20 runs each (a reordered update fails; a timeout turns a push that never arrives into a failure)"
+echo "==> request_order, analytics_e2e and shard_e2e, 20 runs each (a reordered update fails; a timeout turns a push that never arrives, or a worker wake-up that is lost in a drain or a saturated shard, into a failure)"
 for run in $(seq 1 20); do
-    timeout 120 cargo test -q -p tc-service --test request_order --test analytics_e2e \
+    timeout 120 cargo test -q -p tc-service --test request_order --test analytics_e2e --test shard_e2e \
         || { echo "run $run of 20 failed or timed out"; exit 1; }
 done
 
