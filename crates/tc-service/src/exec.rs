@@ -309,15 +309,15 @@ impl Engine {
                 Ok(vec![("slept_ms".into(), u(*ms))])
             }
             Request::Count(target) => {
-                // The triangle count is memoised on the cache entry: the
-                // first `count` per cached prep computes, repeats look up
-                // (and, with persistence on, the memo goes durable too).
-                let (entry, triangles) = shard.registry.count(*target);
-                let directed = entry.prep().directed();
+                // Streamed datasets read the stream's maintained count;
+                // static ones the cache entry's memo, so only the first
+                // `count` per cached prep computes (and, with persistence
+                // on, the memo goes durable too).
+                let count = shard.registry.count(*target);
                 let mut payload = target_members(target);
-                payload.push(("nodes".into(), u(directed.num_vertices() as u64)));
-                payload.push(("edges".into(), u(directed.num_edges() as u64)));
-                payload.push(("triangles".into(), u(triangles)));
+                payload.push(("nodes".into(), u(count.nodes as u64)));
+                payload.push(("edges".into(), u(count.edges as u64)));
+                payload.push(("triangles".into(), u(count.triangles)));
                 Ok(payload)
             }
             Request::Simulate(target, algo) => {

@@ -164,7 +164,8 @@ pub struct PrepTarget {
 /// A parsed, validated request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
-    /// Exact count on a preprocessed variant.
+    /// Exact count on a preprocessed variant; a streamed dataset answers
+    /// from its maintained count instead, which every variant shares.
     Count(PrepTarget),
     /// Simulate a named kernel on a preprocessed variant.
     Simulate(PrepTarget, String),

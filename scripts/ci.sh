@@ -76,6 +76,10 @@ echo "==> tcbench write-mixed smoke run (exits 1 on a missing subscribe ack, pus
 cargo run --release --offline -q --manifest-path tcbench/Cargo.toml -- \
     --workload write-mixed --seed 1 --seconds 1 --trace 0
 
+echo "==> tcbench write-mixed traced run (exits 1 if the probe's counts, its analytics state or its WAL replay differ from their references, or a declared per-layer metric is missing)"
+cargo run --release --offline -q --manifest-path tcbench/Cargo.toml -- \
+    --workload write-mixed --seed 1 --seconds 1 --trace 1
+
 echo "==> tcbench prep-churn smoke run (exits 1 if a count over any of the 72 preprocessed variants differs from node_iterator)"
 cargo run --release --offline -q --manifest-path tcbench/Cargo.toml -- \
     --workload prep-churn --seed 1 --seconds 1 --trace 0
