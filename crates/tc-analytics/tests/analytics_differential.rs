@@ -119,33 +119,6 @@ proptest! {
         }
     }
 
-    /// Same property with the background compaction worker attached:
-    /// handoffs, journal replay and installs must be invisible to the
-    /// analytics contract.
-    #[test]
-    fn background_compaction_is_invisible_to_analytics(
-        (n, seed, stream) in arb_stream(32, 5, 40),
-    ) {
-        let base = erdos_renyi(n as usize, (n as usize) * 2, seed);
-        let mut scratch = Scratch::new();
-        let mut state = AnalyticsState::build(&base, &mut scratch);
-        let mut g = DynamicGraph::new(base)
-            .policy(CompactionPolicy::with_budget(8))
-            .background_compaction();
-        for (i, raw) in stream.iter().enumerate() {
-            let (r, changes) = g.apply_batch_recorded(&to_ops(raw));
-            state.apply_changes(&changes);
-            prop_assert_eq!(state.triangles(), r.triangles, "diverged at batch {}", i);
-            if i % 2 == 1 {
-                // Periodically force the install so both the in-flight
-                // and the installed phases get checked.
-                g.wait_compaction();
-            }
-            let m = g.materialize();
-            assert_state_matches(&state, &m, &mut scratch);
-        }
-    }
-
     /// Skewed power-law bases (the paper's workload shape), checked at
     /// stream end to afford bigger graphs.
     #[test]

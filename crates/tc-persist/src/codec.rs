@@ -10,6 +10,7 @@
 //! has already rejected bit-flips via CRC32.
 
 use crate::PersistError;
+use std::sync::Arc;
 use tc_core::{DirectionScheme, OrderingScheme, PreprocessResult};
 use tc_datasets::Dataset;
 use tc_graph::binary_io::{graph_from_bytes, graph_to_bytes};
@@ -388,7 +389,7 @@ pub fn decode_stream(payload: &[u8]) -> Result<StreamRecord, PersistError> {
         dataset,
         last_seq,
         snapshot: StreamSnapshot {
-            base,
+            base: Arc::new(base),
             adds,
             dels,
             triangles,

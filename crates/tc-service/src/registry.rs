@@ -495,11 +495,10 @@ impl GraphRegistry {
         let mut ds = self.write(dataset);
         if ds.stream.is_none() {
             let base = (*ds.graph()).clone();
-            let stream = match self.lru().memoised_count(dataset) {
+            ds.stream = Some(match self.lru().memoised_count(dataset) {
                 Some(triangles) => DynamicGraph::with_initial_count(base, triangles),
                 None => DynamicGraph::new(base),
-            };
-            ds.stream = Some(stream.background_compaction());
+            });
         }
         ds
     }
@@ -520,7 +519,7 @@ impl GraphRegistry {
     pub fn install_recovered(&self, recovered: Recovered) {
         for rs in recovered.streams {
             let mut ds = self.write(rs.dataset);
-            ds.stream = Some(rs.graph.background_compaction());
+            ds.stream = Some(rs.graph);
             ds.applied_seq = rs.applied_seq;
         }
         let mut lru = self.lru();

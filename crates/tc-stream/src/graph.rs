@@ -2,7 +2,6 @@
 //! [`DeltaAdjacency`] overlay, with exact incremental triangle
 //! maintenance and threshold-triggered compaction.
 
-use crate::compact::{CompactionJob, Compactor};
 use crate::delta::{DeltaAdjacency, Layer};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -126,8 +125,8 @@ pub struct BatchResult {
     pub triangles_delta: i64,
     /// Exact triangle count after the batch.
     pub triangles: u64,
-    /// Whether a compaction completed during this batch (inline fold,
-    /// or installation of a finished background rebuild).
+    /// Whether this batch pushed the overlay past the budget and folded
+    /// it into a fresh base.
     pub compacted: bool,
     /// Delta-overlay size after the batch (0 right after a compaction).
     pub delta_edges: usize,
@@ -142,8 +141,10 @@ pub struct BatchResult {
 /// + WAL replay) bit-for-bit comparable against an unkilled replica.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct StreamSnapshot {
-    /// The base CSR as of the last compaction.
-    pub base: CsrGraph,
+    /// The base CSR as of the last compaction, shared with the stream:
+    /// a base is never changed in place (a compaction installs a new
+    /// one), so the snapshot needs no copy of it.
+    pub base: Arc<CsrGraph>,
     /// `add`-overlay edges, sorted, `u < v`.
     pub adds: Vec<(VertexId, VertexId)>,
     /// `del`-overlay edges, sorted, `u < v`.
@@ -170,10 +171,12 @@ pub struct StreamSnapshot {
 /// directed edge, here evaluated once per *changed* edge instead of once
 /// per edge of the whole graph.
 ///
-/// When the overlay outgrows [`CompactionPolicy::max_delta_edges`], the
-/// layered view is folded into a fresh base CSR. Preprocessed variants
-/// are not kept here: the `tc-service` registry drops a streamed
-/// dataset's variants on every update and recomputes them from
+/// When a batch leaves the overlay over
+/// [`CompactionPolicy::max_delta_edges`], that same batch folds the
+/// layered view into a fresh base CSR before it returns, so the
+/// base/overlay split is a function of the batches alone. Preprocessed
+/// variants are not kept here: the `tc-service` registry drops a
+/// streamed dataset's variants on every update and recomputes them from
 /// [`materialize`](DynamicGraph::materialize) on demand.
 ///
 /// # Determinism
@@ -184,52 +187,22 @@ pub struct StreamSnapshot {
 /// `(u, v)` order. Two replicas that apply the same batches in the same
 /// order hold identical graphs and counts regardless of thread count or
 /// wall-clock — the differential suite enforces this.
-#[derive(Debug)]
+#[derive(Clone, Debug)]
 pub struct DynamicGraph {
+    /// The base CSR as of the last compaction. Never changed in place:
+    /// a compaction installs a new one, so clones and snapshots share it.
     base: Arc<CsrGraph>,
+    /// Edges inserted into or deleted from `base` since then.
     delta: DeltaAdjacency,
+    /// Maintained exact triangle count of `base` + `delta`.
     triangles: u64,
+    /// Maintained undirected edge count of `base` + `delta`.
     num_edges: usize,
     policy: CompactionPolicy,
     counters: StreamCounters,
     /// Reusable intersection working memory for the per-edge counting
     /// path (pure cache; cloning a `DynamicGraph` starts it cold).
     scratch: Scratch,
-    /// Background compaction worker
-    /// ([`background_compaction`](DynamicGraph::background_compaction));
-    /// `None` means threshold compaction runs inline on the update path.
-    compactor: Option<Compactor>,
-    /// Epoch of the rebuild currently in flight on the worker, if any.
-    inflight: Option<u64>,
-    /// Changes committed while a rebuild is in flight, replayed against
-    /// the new base at install time. Empty whenever `inflight` is.
-    journal: Vec<(VertexId, VertexId, bool)>,
-    /// Monotonic rebuild epoch (last handed-off job).
-    epoch: u64,
-}
-
-impl Clone for DynamicGraph {
-    /// Clones the observable graph state. The clone starts with a cold
-    /// scratch cache, no background worker, and no in-flight rebuild —
-    /// `base` + `delta` is always the full effective graph, so a clone
-    /// taken mid-rebuild is still exact; it simply compacts inline until
-    /// [`background_compaction`](DynamicGraph::background_compaction) is
-    /// re-applied.
-    fn clone(&self) -> Self {
-        Self {
-            base: Arc::clone(&self.base),
-            delta: self.delta.clone(),
-            triangles: self.triangles,
-            num_edges: self.num_edges,
-            policy: self.policy,
-            counters: self.counters,
-            scratch: Scratch::new(),
-            compactor: None,
-            inflight: None,
-            journal: Vec::new(),
-            epoch: 0,
-        }
-    }
 }
 
 impl DynamicGraph {
@@ -254,10 +227,6 @@ impl DynamicGraph {
             policy,
             counters: StreamCounters::default(),
             scratch: Scratch::new(),
-            compactor: None,
-            inflight: None,
-            journal: Vec::new(),
-            epoch: 0,
         }
     }
 
@@ -265,75 +234,6 @@ impl DynamicGraph {
     pub fn policy(mut self, policy: CompactionPolicy) -> Self {
         self.policy = policy;
         self
-    }
-
-    /// Moves threshold-triggered compaction onto a dedicated worker
-    /// thread. Crossing the budget then *hands off* the fold (an `Arc`
-    /// clone of the base plus a copy of the overlay) instead of
-    /// rebuilding inline, so `apply_batch` latency no longer pays the
-    /// `O(n + m)` rebuild; changes committed while the rebuild runs are
-    /// journaled and replayed against the new base at install time.
-    ///
-    /// Counts, the effective edge set, and every query remain exact and
-    /// deterministic; only the *base/overlay split* (and therefore
-    /// [`delta_edges`](DynamicGraph::delta_edges) and the `compactions`
-    /// counter at a given instant) becomes scheduling-dependent. If the
-    /// overlay reaches twice the budget with a rebuild still in flight,
-    /// the next batch blocks for the install, bounding overlay growth.
-    pub fn background_compaction(mut self) -> Self {
-        if self.compactor.is_none() {
-            self.compactor = Some(Compactor::spawn());
-        }
-        self
-    }
-
-    /// Whether a background compaction worker is attached.
-    pub fn has_background_compaction(&self) -> bool {
-        self.compactor.is_some()
-    }
-
-    /// Whether a background rebuild is currently in flight.
-    pub fn compaction_inflight(&self) -> bool {
-        self.inflight.is_some()
-    }
-
-    /// Installs a finished background rebuild if one is ready (new base,
-    /// overlay rebuilt from the journal). Non-blocking; runs
-    /// automatically at the start of every batch. Returns `true` if a
-    /// rebuild was installed.
-    pub fn poll_compaction(&mut self) -> bool {
-        if self.inflight.is_none() {
-            return false;
-        }
-        match self.compactor.as_mut().and_then(Compactor::try_recv) {
-            Some(done) => {
-                self.install(done);
-                true
-            }
-            None => false,
-        }
-    }
-
-    /// Blocks until the in-flight background rebuild (if any) is
-    /// installed. Returns `true` if one was installed.
-    pub fn wait_compaction(&mut self) -> bool {
-        if self.inflight.is_none() {
-            return false;
-        }
-        match self.compactor.as_mut().and_then(Compactor::recv_blocking) {
-            Some(done) => {
-                self.install(done);
-                true
-            }
-            None => {
-                // Worker died (panicked): detach it and fall back to
-                // inline compaction. The graph itself is unaffected.
-                self.compactor = None;
-                self.inflight = None;
-                self.journal.clear();
-                false
-            }
-        }
     }
 
     /// Number of vertices (fixed for the stream's lifetime).
@@ -486,9 +386,6 @@ impl DynamicGraph {
         ops: &[EdgeOp],
         mut record: Option<&mut Vec<EdgeChange>>,
     ) -> BatchResult {
-        // Install any rebuild the worker finished since the last batch
-        // first, so this batch reads the shortest available overlay.
-        let mut compacted = self.poll_compaction();
         let n = self.num_vertices() as u64;
         let mut rejected = 0usize;
 
@@ -545,9 +442,6 @@ impl DynamicGraph {
                 }
                 self.delta
                     .record_insert(u, v, matches!(layer, Some(Layer::Del)));
-                if self.inflight.is_some() {
-                    self.journal.push((u, v, true));
-                }
                 self.num_edges += 1;
                 inserted += 1;
             } else {
@@ -569,37 +463,20 @@ impl DynamicGraph {
                     None => tri_delta -= self.common_neighbors_fast(u, v) as i64,
                 }
                 self.delta.record_delete(u, v, layer.is_none());
-                if self.inflight.is_some() {
-                    self.journal.push((u, v, false));
-                }
                 self.num_edges -= 1;
                 deleted += 1;
             }
         }
         self.triangles = (self.triangles as i64 + tri_delta) as u64;
 
-        if self.delta.len() > self.policy.max_delta_edges {
-            if self.compactor.is_none() {
-                self.compact();
-                compacted = true;
-            } else if self.inflight.is_none() {
-                self.handoff();
-            } else if self.delta.len() > self.policy.max_delta_edges.saturating_mul(2) {
-                // The overlay ran far ahead of a rebuild still in
-                // flight: block once for the install to bound overlay
-                // growth, then hand off the remainder.
-                if self.wait_compaction() {
-                    compacted = true;
-                }
-                if self.delta.len() > self.policy.max_delta_edges && self.inflight.is_none() {
-                    if self.compactor.is_some() {
-                        self.handoff();
-                    } else {
-                        self.compact();
-                        compacted = true;
-                    }
-                }
-            }
+        // Fold here, in the batch that crossed the budget, so every
+        // replica of the stream — live, replayed or restored — splits
+        // base and overlay at the same batch.
+        let compacted = self.delta.len() > self.policy.max_delta_edges;
+        if compacted {
+            self.base = Arc::new(self.materialize());
+            self.delta.clear();
+            self.counters.compactions += 1;
         }
 
         self.counters.batches += 1;
@@ -622,72 +499,12 @@ impl DynamicGraph {
         }
     }
 
-    /// Folds the overlay into a fresh base CSR now, regardless of the
-    /// policy, first installing any background rebuild in flight. No-op
-    /// (and `false`) when nothing changed.
-    pub fn force_compact(&mut self) -> bool {
-        let installed = self.wait_compaction();
-        if self.delta.is_empty() {
-            return installed;
-        }
-        self.compact();
-        true
-    }
-
-    fn compact(&mut self) {
-        debug_assert!(self.inflight.is_none(), "inline compact during handoff");
-        self.base = Arc::new(self.materialize());
-        self.delta.clear();
-        self.journal.clear();
-        self.counters.compactions += 1;
-    }
-
-    /// Freezes the current `(base, delta)` pair and submits it to the
-    /// background worker. From here until install, every committed
-    /// change is journaled on top.
-    fn handoff(&mut self) {
-        let Some(compactor) = &self.compactor else {
-            return;
-        };
-        self.epoch += 1;
-        compactor.submit(CompactionJob {
-            epoch: self.epoch,
-            base: Arc::clone(&self.base),
-            delta: self.delta.clone(),
-        });
-        self.inflight = Some(self.epoch);
-        debug_assert!(self.journal.is_empty());
-        self.journal.clear();
-    }
-
-    /// Adopts a finished rebuild: the new base is exactly the state the
-    /// job froze, so replaying the journal (a valid op sequence starting
-    /// from that state) rebuilds the overlay, with each entry's
-    /// base-membership question answered by the new base alone.
-    fn install(&mut self, done: crate::compact::CompactionDone) {
-        debug_assert_eq!(Some(done.epoch), self.inflight, "install out of order");
-        self.base = done.base;
-        let mut delta = DeltaAdjacency::new();
-        for &(u, v, inserted) in &self.journal {
-            let in_base = self.base.has_edge(u, v);
-            if inserted {
-                delta.record_insert(u, v, in_base);
-            } else {
-                delta.record_delete(u, v, in_base);
-            }
-        }
-        self.delta = delta;
-        self.journal.clear();
-        self.inflight = None;
-        self.counters.compactions += 1;
-    }
-
     /// Captures this stream's observable state as a serializable
     /// [`StreamSnapshot`]. The scratch cache is deliberately excluded:
     /// it is a pure cache.
     pub fn snapshot(&self) -> StreamSnapshot {
         StreamSnapshot {
-            base: self.base.as_ref().clone(),
+            base: Arc::clone(&self.base),
             adds: self.delta.add_edge_pairs(),
             dels: self.delta.del_edge_pairs(),
             triangles: self.triangles,
@@ -738,17 +555,13 @@ impl DynamicGraph {
             ));
         }
         Ok(Self {
-            base: Arc::new(snap.base),
+            base: snap.base,
             delta,
             triangles: snap.triangles,
             num_edges: snap.num_edges,
             policy: CompactionPolicy::with_budget(snap.max_delta_edges),
             counters: snap.counters,
             scratch: Scratch::new(),
-            compactor: None,
-            inflight: None,
-            journal: Vec::new(),
-            epoch: 0,
         })
     }
 
@@ -872,16 +685,6 @@ mod tests {
     }
 
     #[test]
-    fn force_compact_on_clean_graph_is_a_noop() {
-        let mut g = DynamicGraph::new(path4());
-        assert!(!g.force_compact());
-        g.apply_batch(&[EdgeOp::Insert(0, 2)]);
-        assert!(g.force_compact());
-        assert_eq!(g.delta_edges(), 0);
-        assert_eq!(g.base().num_edges(), 4);
-    }
-
-    #[test]
     fn snapshot_restore_round_trips_state_and_behavior() {
         let mut g = DynamicGraph::new(path4()).policy(CompactionPolicy::with_budget(5));
         g.apply_batch(&[
@@ -915,6 +718,23 @@ mod tests {
             assert_eq!(g.apply_batch(chunk), r.apply_batch(chunk));
         }
         assert_eq!(g.snapshot(), r.snapshot());
+    }
+
+    #[test]
+    fn snapshot_shares_the_base_instead_of_copying_it() {
+        let mut g = DynamicGraph::new(path4()).policy(CompactionPolicy::with_budget(2));
+        g.apply_batch(&[EdgeOp::Insert(0, 2)]);
+        assert!(std::ptr::eq(g.snapshot().base.as_ref(), g.base()));
+        let r = DynamicGraph::restore(g.snapshot()).expect("restore");
+        assert!(std::ptr::eq(r.base(), g.base()), "restore keeps the Arc");
+
+        // A fold installs a new base; the old snapshot keeps the old one.
+        let before = g.snapshot();
+        let r = g.apply_batch(&[EdgeOp::Insert(1, 3), EdgeOp::Insert(0, 3)]);
+        assert!(r.compacted);
+        assert!(!std::ptr::eq(before.base.as_ref(), g.base()));
+        assert_eq!(before.base.num_edges(), 3);
+        assert!(std::ptr::eq(g.snapshot().base.as_ref(), g.base()));
     }
 
     #[test]
@@ -996,87 +816,6 @@ mod tests {
         ]);
         assert_eq!((r.noops, r.rejected), (2, 2));
         assert!(changes.is_empty());
-    }
-
-    #[test]
-    fn background_compaction_keeps_rebuild_off_the_update_path() {
-        let mut g = DynamicGraph::new(path4())
-            .policy(CompactionPolicy::with_budget(2))
-            .background_compaction();
-        let mut inline = DynamicGraph::new(path4()).policy(CompactionPolicy::with_budget(2));
-
-        let batch = [
-            EdgeOp::Insert(0, 2),
-            EdgeOp::Insert(1, 3),
-            EdgeOp::Insert(0, 3),
-        ];
-        let r = g.apply_batch(&batch);
-        let ri = inline.apply_batch(&batch);
-        // The threshold crossing handed off instead of folding inline:
-        // the overlay is still over budget and nothing was installed yet.
-        assert!(!r.compacted, "no rebuild can have completed synchronously");
-        assert_eq!(r.delta_edges, 3);
-        assert!(g.compaction_inflight());
-        assert_eq!(r.triangles, ri.triangles);
-
-        // Changes committed while the rebuild runs are journaled and
-        // survive the install.
-        let batch2 = [EdgeOp::Insert(2, 4), EdgeOp::Delete(0, 1)];
-        let mut g5 =
-            DynamicGraph::new(GraphBuilder::from_edges(5, &[(0, 1), (1, 2), (2, 3)]).build())
-                .policy(CompactionPolicy::with_budget(2))
-                .background_compaction();
-        let mut inline5 =
-            DynamicGraph::new(GraphBuilder::from_edges(5, &[(0, 1), (1, 2), (2, 3)]).build())
-                .policy(CompactionPolicy::with_budget(2));
-        g5.apply_batch(&batch);
-        inline5.apply_batch(&batch);
-        g5.apply_batch(&batch2);
-        inline5.apply_batch(&batch2);
-
-        // The second batch may have crossed 2x budget and blocked for
-        // the install itself; either way draining leaves none in flight.
-        g5.wait_compaction();
-        assert!(!g5.compaction_inflight());
-        assert_eq!(g5.triangles(), inline5.triangles());
-        assert_eq!(g5.num_edges(), inline5.num_edges());
-        assert_eq!(g5.materialize(), inline5.materialize());
-        assert_eq!(g5.triangles(), cpu::node_iterator(&g5.materialize()));
-        assert!(g5.counters().compactions >= 1);
-    }
-
-    #[test]
-    fn force_compact_drains_inflight_rebuild() {
-        let mut g = DynamicGraph::new(path4())
-            .policy(CompactionPolicy::with_budget(1))
-            .background_compaction();
-        g.apply_batch(&[EdgeOp::Insert(0, 2), EdgeOp::Insert(1, 3)]);
-        assert!(g.compaction_inflight());
-        assert!(g.force_compact() || g.delta_edges() == 0);
-        assert!(!g.compaction_inflight());
-        assert_eq!(g.delta_edges(), 0);
-        assert_eq!(g.triangles(), cpu::node_iterator(g.base()));
-    }
-
-    #[test]
-    fn clone_detaches_the_background_worker() {
-        let mut g = DynamicGraph::new(path4())
-            .policy(CompactionPolicy::with_budget(1))
-            .background_compaction();
-        g.apply_batch(&[EdgeOp::Insert(0, 2), EdgeOp::Insert(1, 3)]);
-        let mut c = g.clone();
-        assert!(!c.has_background_compaction());
-        assert!(!c.compaction_inflight());
-        // The clone is the full effective graph and compacts inline.
-        let r = c.apply_batch(&[EdgeOp::Insert(0, 3)]);
-        assert!(r.compacted);
-        assert_eq!(c.triangles(), cpu::node_iterator(&c.materialize()));
-        // The original (with its worker) sees the same state once it
-        // applies the same batch and drains.
-        g.apply_batch(&[EdgeOp::Insert(0, 3)]);
-        g.wait_compaction();
-        assert_eq!(g.triangles(), c.triangles());
-        assert_eq!(g.materialize(), c.materialize());
     }
 
     #[test]

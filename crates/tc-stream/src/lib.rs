@@ -20,15 +20,13 @@
 //!    `|N(u) ∩ N(v)|`, evaluated over the layered view; batches are
 //!    deduplicated (last-wins per edge) and applied in ascending edge
 //!    order, making the outcome a pure function of (state, batch).
-//! 3. **Threshold compaction** — once the overlay outgrows a budget
-//!    ([`CompactionPolicy`]), it is folded into a fresh base CSR, so
-//!    reads through the overlay stay cheap. With
-//!    [`DynamicGraph::background_compaction`] the fold runs on a worker
-//!    thread (frozen-input handoff + change journal), keeping the
-//!    rebuild off the update path entirely. Preprocessed variants of a
-//!    streamed graph are the consumer's business: `tc-service` drops
-//!    them on every update and re-runs the paper's preprocessing on the
-//!    materialised graph when a query asks for one.
+//! 3. **Threshold compaction** — once a batch leaves the overlay over a
+//!    budget ([`CompactionPolicy`]), the same batch folds it into a
+//!    fresh base CSR, so reads through the overlay stay cheap and the
+//!    base/overlay split depends on the batches alone. Preprocessed
+//!    variants of a streamed graph are the consumer's business:
+//!    `tc-service` drops them on every update and re-runs the paper's
+//!    preprocessing on the materialised graph when a query asks for one.
 //!
 //! Batches can also be applied *recorded*
 //! ([`DynamicGraph::apply_batch_recorded`]), yielding one [`EdgeChange`]
@@ -54,7 +52,6 @@
 //! maintained count against a fresh CPU recount of the materialized
 //! graph after every batch, at one and many threads.
 
-mod compact;
 pub mod delta;
 pub mod graph;
 
