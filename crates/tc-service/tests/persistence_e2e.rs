@@ -9,6 +9,8 @@
 //! batches. Wall-clock-dependent fields (`batch_p50_us`/`batch_p99_us`)
 //! are the designated exclusions.
 
+mod common;
+
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 use tc_service::client::ServiceClient;
@@ -67,11 +69,19 @@ fn deterministic_stream_fields(v: &Json) -> String {
     .join(",")
 }
 
-const BATCHES: [&str; 3] = [
-    r#"{"op":"update","dataset":"email-Eucore","edges":[[10,20],[30,40],[50,60,"-"]]}"#,
-    r#"{"op":"update","dataset":"email-Eucore","edges":[[10,20,"-"],[70,80],[1,2]]}"#,
-    r#"{"op":"update","dataset":"email-Eucore","edges":[[5,6],[7,8],[9,10],[9,10,"-"]]}"#,
-];
+/// Two small update batches, then one that changes more edges than
+/// email-Eucore's compaction budget, so the stream folds its overlay
+/// while applying it.
+fn batches() -> [String; 3] {
+    let g = tc_datasets::load(tc_datasets::Dataset::EmailEucore);
+    let budget = tc_stream::CompactionPolicy::for_graph(&g).max_delta_edges;
+    let crossing = &common::crossing_batches(&g, budget * 2 / 3, 1)[0];
+    [
+        r#"{"op":"update","dataset":"email-Eucore","edges":[[10,20],[30,40],[50,60,"-"]]}"#.into(),
+        r#"{"op":"update","dataset":"email-Eucore","edges":[[10,20,"-"],[70,80],[1,2]]}"#.into(),
+        common::update_line("email-Eucore", crossing),
+    ]
+}
 
 /// Parses one update line back into the `EdgeOp` batch it carries, so
 /// the crash simulation can log exactly what the protocol would have.
@@ -161,12 +171,13 @@ fn warm_restart_serves_snapshots_without_recompute() {
 #[test]
 fn kill_mid_batch_replays_to_the_exact_unkilled_state() {
     let dir = tmp("crash");
+    let batches = batches();
 
     // Unkilled replica: a plain in-memory server applies all batches.
     let (replica_count, replica_stream) = {
         let server = spawn(ServerConfig::default()).expect("replica server");
         let mut c = ServiceClient::connect(server.addr()).expect("connect");
-        for b in BATCHES {
+        for b in &batches {
             c.request_ok(b).expect("replica update");
         }
         let count = get_u64(
@@ -186,7 +197,7 @@ fn kill_mid_batch_replays_to_the_exact_unkilled_state() {
     {
         let server = persistent_server(&dir);
         let mut c = ServiceClient::connect(server.addr()).expect("connect");
-        for b in &BATCHES[..2] {
+        for b in &batches[..2] {
             c.request_ok(b).expect("victim update");
         }
         server.shutdown();
@@ -200,7 +211,7 @@ fn kill_mid_batch_replays_to_the_exact_unkilled_state() {
             tc_persist::Store::open(tc_persist::PersistConfig::new(&dir)).expect("store");
         assert_eq!(recovered.streams.len(), 1, "snapshot from phase 1 present");
         store
-            .log_batch(tc_datasets::Dataset::EmailEucore, &ops_of(BATCHES[2]))
+            .log_batch(tc_datasets::Dataset::EmailEucore, &ops_of(&batches[2]))
             .expect("wal append");
         // Crash. (Drop flushes the writer queue, but nothing applied
         // batch 3 and nothing snapshotted it.)
@@ -245,6 +256,10 @@ fn kill_mid_batch_replays_to_the_exact_unkilled_state() {
     server.shutdown();
 
     assert_eq!(count, replica_count, "replayed count diverged");
+    assert!(
+        get_u64(&ss, "compactions") >= 1,
+        "the replayed batch must cross the compaction budget"
+    );
     assert_eq!(
         deterministic_stream_fields(&ss),
         replica_stream,

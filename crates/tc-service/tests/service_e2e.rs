@@ -8,6 +8,8 @@
 //! any divergence here is a service-layer bug (shared-state corruption,
 //! response cross-wiring, or nondeterministic payload fields).
 
+mod common;
+
 use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 use tc_service::client::ServiceClient;
@@ -404,62 +406,21 @@ fn updates_are_visible_to_later_queries_and_deterministic_across_workers() {
     );
 }
 
-/// Update batches for `g`, drawn by a fixed LCG, that together change
-/// more edges than its compaction budget. Each batch deletes `per_batch`
-/// base edges and inserts `per_batch` non-edges, each drawn with
-/// repeats, and re-inserts `per_batch / 4` of the edges deleted so far,
-/// in its own batch or an earlier one.
-fn crossing_batches(
-    g: &tc_graph::CsrGraph,
-    per_batch: usize,
-    batches: usize,
-) -> Vec<Vec<(u32, u32, bool)>> {
-    let edges: Vec<(u32, u32)> = g.edges().collect();
-    let n = g.num_vertices() as u64;
-    let mut state = 0x2545_f491_4f6c_dd1du64;
-    let mut next = move |bound: u64| {
-        state = state
-            .wrapping_mul(6_364_136_223_846_793_005)
-            .wrapping_add(1_442_695_040_888_963_407);
-        (state >> 33) % bound
-    };
-    let mut deleted: Vec<(u32, u32)> = Vec::new();
-    (0..batches)
-        .map(|_| {
-            let mut batch = Vec::new();
-            for _ in 0..per_batch {
-                let (u, v) = edges[next(edges.len() as u64) as usize];
-                batch.push((u, v, false));
-                deleted.push((u, v));
-                let (u, v) = loop {
-                    let (u, v) = (next(n) as u32, next(n) as u32);
-                    if u != v && !g.has_edge(u, v) {
-                        break (u, v);
-                    }
-                };
-                batch.push((u, v, true));
-            }
-            for _ in 0..per_batch / 4 {
-                let (u, v) = deleted[next(deleted.len() as u64) as usize];
-                batch.push((u, v, true));
-            }
-            batch
-        })
-        .collect()
-}
-
 /// A streamed dataset's `count` answers for the graph its updates left,
 /// under every direction × ordering. The batches change more edges than
 /// email-Eucore's compaction budget, and after each one every variant
 /// must report the materialised size and `node_iterator` count of a
-/// `DynamicGraph` replica fed the same batches.
+/// `DynamicGraph` replica fed the same batches. Each `update` and the
+/// final `stream-stats` also report the replica's overlay size and
+/// compactions: the server folds in the batch that crosses the budget,
+/// as the replica does.
 #[test]
 fn streamed_counts_match_a_dynamic_graph_replica_in_every_variant() {
     use tc_stream::{DynamicGraph, EdgeOp};
     let g = tc_datasets::load(tc_datasets::Dataset::EmailEucore);
     let mut replica = DynamicGraph::new(g.clone());
     let budget = replica.compaction_policy().max_delta_edges;
-    let batches = crossing_batches(&g, budget / 4 + 1, 4);
+    let batches = common::crossing_batches(&g, budget / 4 + 1, 4);
     let directions = ["id", "degree", "a"];
     let orderings = [
         "origin",
@@ -485,17 +446,7 @@ fn streamed_counts_match_a_dynamic_graph_replica_in_every_variant() {
     let server = server_with(2, 64, Duration::from_secs(120));
     let mut client = ServiceClient::connect(server.addr()).expect("connect");
     for (i, batch) in batches.iter().enumerate() {
-        let edges: Vec<String> = batch
-            .iter()
-            .map(|&(u, v, insert)| match insert {
-                true => format!("[{u},{v}]"),
-                false => format!(r#"[{u},{v},"-"]"#),
-            })
-            .collect();
-        let line = format!(
-            r#"{{"op":"update","dataset":"email-Eucore","edges":[{}]}}"#,
-            edges.join(",")
-        );
+        let line = common::update_line("email-Eucore", batch);
         let ops: Vec<EdgeOp> = batch
             .iter()
             .map(|&(u, v, insert)| match insert {
@@ -506,9 +457,17 @@ fn streamed_counts_match_a_dynamic_graph_replica_in_every_variant() {
         let expected = replica.apply_batch(&ops);
         let v = client.request_ok(&line).expect("update");
         assert_eq!(
-            v.get("triangles").and_then(Json::as_u64),
-            Some(expected.triangles),
-            "batch {i}"
+            (
+                v.get("triangles").and_then(Json::as_u64),
+                v.get("delta_edges").and_then(Json::as_u64),
+                v.get("compacted").and_then(Json::as_bool),
+            ),
+            (
+                Some(expected.triangles),
+                Some(expected.delta_edges as u64),
+                Some(expected.compacted),
+            ),
+            "batch {i}: triangles, delta_edges, compacted"
         );
 
         let m = replica.materialize();
@@ -534,6 +493,20 @@ fn streamed_counts_match_a_dynamic_graph_replica_in_every_variant() {
     assert!(
         replica.counters().compactions >= 1,
         "the batches must cross the compaction budget of {budget} edges"
+    );
+    let ss = client
+        .request_ok(r#"{"op":"stream-stats","dataset":"email-Eucore"}"#)
+        .expect("stream-stats");
+    assert_eq!(
+        (
+            ss.get("delta_edges").and_then(Json::as_u64),
+            ss.get("compactions").and_then(Json::as_u64),
+        ),
+        (
+            Some(replica.delta_edges() as u64),
+            Some(replica.counters().compactions),
+        ),
+        "stream-stats delta_edges, compactions"
     );
     server.shutdown();
 }

@@ -23,10 +23,14 @@ echo "==> tier-1: cargo build --release && cargo test -q (every workspace crate,
 cargo build --release
 cargo test -q
 
-echo "==> request_order, analytics_e2e and shard_e2e, 20 runs each (a reordered update fails; a timeout turns a push that never arrives, or a worker wake-up that is lost in a drain or a saturated shard, into a failure)"
+echo "==> request_order, analytics_e2e, shard_e2e and the two fold-crossing cases, 20 runs each (a reordered update fails; a timeout turns a push that never arrives, or a worker wake-up that is lost in a drain or a saturated shard, into a failure; a compaction field that differs from a DynamicGraph replica or an unkilled server fails the fold-crossing cases)"
 for run in $(seq 1 20); do
     timeout 120 cargo test -q -p tc-service --test request_order --test analytics_e2e --test shard_e2e \
         || { echo "run $run of 20 failed or timed out"; exit 1; }
+    timeout 120 cargo test -q -p tc-service --test service_e2e --test persistence_e2e -- \
+        streamed_counts_match_a_dynamic_graph_replica_in_every_variant \
+        kill_mid_batch_replays_to_the_exact_unkilled_state \
+        || { echo "fold-crossing run $run of 20 failed or timed out"; exit 1; }
 done
 
 echo "==> tier-1 again under --features simd (SSE2/AVX2 block merge and AVX2 gather probe live)"
