@@ -20,7 +20,8 @@
 //!   maintained;
 //! - **clustering coefficients** become pure arithmetic
 //!   ([`tc_apps::coefficients_from_counts`]) over the maintained counts;
-//! - **recommendation** already reads the materialised live graph.
+//! - **recommendation** needs no maintained state: it reads the stream's
+//!   neighbour lists and degrees in place ([`tc_graph::Adjacency`]).
 //!
 //! Both read paths are bit-identical to fresh recomputes on the
 //! materialised graph — the peel is deterministic in edge order and the
@@ -56,5 +57,5 @@
 pub mod predicate;
 pub mod state;
 
-pub use predicate::{clustering_value, Notification, Observed, Predicate};
+pub use predicate::{Notification, Observed, Predicate};
 pub use state::AnalyticsState;

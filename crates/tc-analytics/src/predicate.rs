@@ -94,29 +94,17 @@ pub enum Notification {
     },
 }
 
-/// Local clustering coefficient from a maintained local count and the
-/// current degree — the same arithmetic as
-/// [`tc_apps::coefficients_from_counts`], so observed values are
-/// bit-identical to a fresh recompute.
-pub fn clustering_value(local_triangles: u64, degree: usize) -> f64 {
-    let d = degree as u64;
-    if d < 2 {
-        0.0
-    } else {
-        2.0 * local_triangles as f64 / (d * (d - 1)) as f64
-    }
-}
-
 impl Predicate {
     /// Captures the value this predicate watches from the maintained
     /// state (and the live graph, for degrees).
     pub fn observe(&self, state: &AnalyticsState, g: &DynamicGraph) -> Observed {
         match *self {
             Predicate::SupportBelow { u, v, .. } => Observed::Support(state.support(u, v)),
-            Predicate::ClusteringDelta { vertex, .. } => Observed::Clustering(clustering_value(
-                state.local_count(vertex),
-                g.degree(vertex),
-            )),
+            // The arithmetic every clustering answer folds, so an
+            // observed value is bit-identical to a fresh recompute.
+            Predicate::ClusteringDelta { vertex, .. } => Observed::Clustering(
+                tc_apps::local_coefficient(state.local_count(vertex), g.degree(vertex)),
+            ),
             Predicate::CountCross { .. } => Observed::Count(state.triangles()),
         }
     }

@@ -10,13 +10,16 @@
 //! maintained state must be **bit-identical** to the full recomputes.
 
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use tc_algos::engine::Scratch;
 use tc_analytics::AnalyticsState;
 use tc_apps::{
     clustering_coefficients_with, coefficients_from_counts, edge_supports_with,
     global_clustering_coefficient_with, global_from_counts, ktruss_decomposition_with,
-    ktruss_from_supports, triangles_per_vertex_with,
+    ktruss_from_supports, recommend_for_with, triangles_per_vertex_with,
 };
+use tc_datasets::Dataset;
 use tc_graph::generators::{erdos_renyi, power_law_configuration};
 use tc_graph::CsrGraph;
 use tc_stream::{CompactionPolicy, DynamicGraph, EdgeOp};
@@ -179,4 +182,72 @@ fn compaction_schedules_do_not_affect_analytics() {
     let fresh = AnalyticsState::build(&m, &mut scratch);
     assert_eq!(state_lazy.triangles(), fresh.triangles());
     assert_eq!(state_lazy.local_counts(), fresh.local_counts());
+}
+
+/// The reads a server answers from a stream in place equal the same
+/// reads on its materialised CSR, floats bit for bit: `recommend` for
+/// every 97th source through the stream's layered rows, and both
+/// clustering folds over the maintained counts and the stream's degrees.
+/// Each dataset takes two random batches of deletes and inserts: the
+/// first leaves half a compaction budget in the overlay, the second
+/// crosses the budget and folds.
+#[test]
+fn in_place_reads_match_the_materialised_csr_bit_for_bit() {
+    let bits = |r: &tc_apps::RecommendScore| {
+        (
+            r.candidate,
+            r.common_neighbors,
+            r.jaccard.to_bits(),
+            r.adamic_adar.to_bits(),
+        )
+    };
+    let mut scratch = Scratch::new();
+    for dataset in [Dataset::EmailEuall, Dataset::KronLogn18] {
+        let base = tc_datasets::load(dataset);
+        let n = base.num_vertices() as u32;
+        let mut rng = StdRng::seed_from_u64(0x1A7E);
+        let mut state = AnalyticsState::build(&base, &mut scratch);
+        let mut g = DynamicGraph::new(base);
+        let budget = g.compaction_policy().max_delta_edges;
+        for (batch, per_kind) in [budget / 4, budget / 2 + 1].into_iter().enumerate() {
+            let edges: Vec<(u32, u32)> = g.materialize().edges().collect();
+            let mut ops: Vec<EdgeOp> = (0..per_kind)
+                .map(|_| {
+                    let (u, v) = edges[rng.gen_range(0..edges.len())];
+                    EdgeOp::Delete(u, v)
+                })
+                .collect();
+            ops.extend(
+                (0..per_kind).map(|_| EdgeOp::Insert(rng.gen_range(0..n), rng.gen_range(0..n))),
+            );
+            let (r, changes) = g.apply_batch_recorded(&ops);
+            state.apply_changes(&changes);
+            assert_eq!(r.compacted, batch == 1, "{dataset:?} batch {batch}");
+
+            let m = g.materialize();
+            for source in (0..n).step_by(97) {
+                let streamed = recommend_for_with(&g, source, usize::MAX, &mut scratch);
+                let want = recommend_for_with(&m, source, usize::MAX, &mut scratch);
+                assert_eq!(
+                    streamed.iter().map(bits).collect::<Vec<_>>(),
+                    want.iter().map(bits).collect::<Vec<_>>(),
+                    "{dataset:?} batch {batch}, recommend from {source}"
+                );
+            }
+            let counts = state.local_counts();
+            assert_eq!(counts, triangles_per_vertex_with(&m, &mut scratch));
+            let coefficient_bits =
+                |c: Vec<f64>| c.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+            assert_eq!(
+                coefficient_bits(coefficients_from_counts(&g, counts)),
+                coefficient_bits(coefficients_from_counts(&m, counts)),
+                "{dataset:?} batch {batch}, local coefficients"
+            );
+            assert_eq!(
+                global_from_counts(&g, counts).to_bits(),
+                global_from_counts(&m, counts).to_bits(),
+                "{dataset:?} batch {batch}, global coefficient"
+            );
+        }
+    }
 }

@@ -2,7 +2,7 @@
 
 use crate::support::{triangles_per_vertex, triangles_per_vertex_with};
 use tc_algos::engine::Scratch;
-use tc_graph::CsrGraph;
+use tc_graph::{Adjacency, CsrGraph, VertexId};
 
 /// Local clustering coefficient of every vertex:
 /// `C(v) = 2·T(v) / (d(v)·(d(v)−1))`, 0 for degree < 2.
@@ -15,23 +15,30 @@ pub fn clustering_coefficients_with(g: &CsrGraph, scratch: &mut Scratch) -> Vec<
     coefficients_from_counts(g, &triangles_per_vertex_with(g, scratch))
 }
 
+/// The local coefficient of one vertex with `triangles` triangles
+/// through it and degree `degree`: `2·T / (d·(d−1))`, 0 for degree < 2.
+/// Every local coefficient the workspace reports, folded here or
+/// observed by a `tc-analytics` subscription, is this arithmetic.
+pub fn local_coefficient(triangles: u64, degree: usize) -> f64 {
+    let d = degree as u64;
+    if d < 2 {
+        0.0
+    } else {
+        2.0 * triangles as f64 / (d * (d - 1)) as f64
+    }
+}
+
 /// Local coefficients from already-known per-vertex triangle counts
 /// (`triangles[v]` = triangles through `v` in `g`). Pure arithmetic —
 /// identical integer inputs yield bit-identical floats — which is what
 /// lets incrementally maintained counts (`tc-analytics`) serve the same
-/// answers as a fresh recompute.
-pub fn coefficients_from_counts(g: &CsrGraph, triangles: &[u64]) -> Vec<f64> {
+/// answers as a fresh recompute. Only degrees are read from `g`, so a
+/// streamed graph answers in place.
+pub fn coefficients_from_counts<G: Adjacency + ?Sized>(g: &G, triangles: &[u64]) -> Vec<f64> {
     triangles
         .iter()
-        .zip(g.vertices())
-        .map(|(&t, v)| {
-            let d = g.degree(v) as u64;
-            if d < 2 {
-                0.0
-            } else {
-                2.0 * t as f64 / (d * (d - 1)) as f64
-            }
-        })
+        .zip(0..g.num_vertices() as VertexId)
+        .map(|(&t, v)| local_coefficient(t, g.degree(v)))
         .collect()
 }
 
@@ -49,10 +56,9 @@ pub fn global_clustering_coefficient_with(g: &CsrGraph, scratch: &mut Scratch) -
 /// Global coefficient from already-known per-vertex triangle counts.
 /// Same bit-identical-from-counts contract as
 /// [`coefficients_from_counts`].
-pub fn global_from_counts(g: &CsrGraph, per_vertex: &[u64]) -> f64 {
+pub fn global_from_counts<G: Adjacency + ?Sized>(g: &G, per_vertex: &[u64]) -> f64 {
     let triangles: u64 = per_vertex.iter().sum::<u64>() / 3;
-    let wedges: u64 = g
-        .vertices()
+    let wedges: u64 = (0..g.num_vertices() as VertexId)
         .map(|v| {
             let d = g.degree(v) as u64;
             d * d.saturating_sub(1) / 2

@@ -22,6 +22,7 @@ pub mod support;
 pub use clustering::{
     clustering_coefficients, clustering_coefficients_with, coefficients_from_counts,
     global_clustering_coefficient, global_clustering_coefficient_with, global_from_counts,
+    local_coefficient,
 };
 pub use ktruss::{
     ktruss_decomposition, ktruss_decomposition_with, ktruss_from_supports, max_truss,

@@ -7,7 +7,7 @@
 //! their degree).
 
 use tc_algos::engine::{with_thread_scratch, Scratch};
-use tc_graph::{CsrGraph, VertexId};
+use tc_graph::{Adjacency, VertexId};
 
 /// A scored candidate link.
 #[derive(Clone, Debug, PartialEq)]
@@ -27,7 +27,11 @@ pub struct RecommendScore {
 ///
 /// Only vertices at distance exactly two are candidates — a link
 /// recommendation that closes no triangle carries no signal.
-pub fn recommend_for(g: &CsrGraph, source: VertexId, k: usize) -> Vec<RecommendScore> {
+pub fn recommend_for<G: Adjacency + ?Sized>(
+    g: &G,
+    source: VertexId,
+    k: usize,
+) -> Vec<RecommendScore> {
     with_thread_scratch(|scratch| recommend_for_with(g, source, k, scratch))
 }
 
@@ -37,31 +41,32 @@ pub fn recommend_for(g: &CsrGraph, source: VertexId, k: usize) -> Vec<RecommendS
 /// neighbour of `source` and `c` a neighbour of `w` outside
 /// `{source} ∪ N(source)` is collected, the pairs are sorted, and each
 /// run of equal `c` is one candidate whose common neighbours are the
-/// run's `w`s in ascending order.
-pub fn recommend_for_with(
-    g: &CsrGraph,
+/// run's `w`s in ascending order. Only neighbour lists and degrees are
+/// read, so a streamed graph is scored in place, bit for bit as its
+/// materialised CSR would be.
+pub fn recommend_for_with<G: Adjacency + ?Sized>(
+    g: &G,
     source: VertexId,
     k: usize,
     scratch: &mut Scratch,
 ) -> Vec<RecommendScore> {
-    let nbrs = g.neighbors(source);
     let wedges = scratch.pairs();
-    for &w in nbrs {
+    for w in g.neighbors(source) {
         wedges.extend(
             g.neighbors(w)
-                .iter()
-                .filter(|&&c| c != source && !g.has_edge(source, c))
-                .map(|&c| (c, w)),
+                .filter(|&c| c != source && !g.has_edge(source, c))
+                .map(|c| (c, w)),
         );
     }
     wedges.sort_unstable();
 
+    let source_degree = g.degree(source);
     let mut scored: Vec<RecommendScore> = wedges
         .chunk_by(|a, b| a.0 == b.0)
         .map(|run| {
             let c = run[0].0;
             let common = run.len() as u32;
-            let union = nbrs.len() + g.degree(c) - common as usize;
+            let union = source_degree + g.degree(c) - common as usize;
             let adamic_adar = run
                 .iter()
                 .map(|&(_, w)| {
@@ -101,7 +106,7 @@ mod tests {
     use super::*;
     use tc_algos::intersect::merge_collect;
     use tc_datasets::Dataset;
-    use tc_graph::GraphBuilder;
+    use tc_graph::{CsrGraph, GraphBuilder};
 
     /// The merge-per-candidate scorer, kept as a reference: every two-hop
     /// candidate's list is merged against the source's whole list, and

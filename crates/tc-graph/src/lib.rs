@@ -6,6 +6,8 @@
 //! - [`CsrGraph`]: an undirected simple graph in compressed sparse row form
 //!   with sorted adjacency lists — the canonical in-memory representation
 //!   used by every triangle-counting algorithm in the workspace.
+//! - [`Adjacency`]: read access through sorted neighbour lists and
+//!   degrees, served by a [`CsrGraph`] and by `tc-stream`'s dynamic graph.
 //! - [`DirectedGraph`]: an *oriented* graph produced by an edge-directing
 //!   scheme; out-neighbour lists are sorted so binary search works directly.
 //! - [`GraphBuilder`]: ingestion from raw edge lists with deduplication and
@@ -24,6 +26,7 @@
 //! All generators take explicit seeds and are fully deterministic, so every
 //! experiment in the workspace is reproducible bit-for-bit.
 
+pub mod adjacency;
 pub mod binary_io;
 pub mod builder;
 pub mod components;
@@ -36,6 +39,7 @@ pub mod orientation;
 pub mod permutation;
 pub mod stats;
 
+pub use adjacency::Adjacency;
 pub use builder::{csr_from_sorted_lists, GraphBuilder};
 pub use csr::CsrGraph;
 pub use directed::DirectedGraph;

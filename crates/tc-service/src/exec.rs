@@ -12,7 +12,7 @@
 use crate::json::{obj, s, u, Json};
 use crate::metrics::{quantile_upper_us_from, RouterMetrics, ServiceMetrics, BUCKETS};
 use crate::protocol::{notification_frame, ErrorKind, Op, PrepTarget, Request, ServiceError};
-use crate::registry::{shard_of, GraphRegistry};
+use crate::registry::{shard_of, DatasetView, GraphRegistry};
 use crate::server::ConnContext;
 use crate::subs::SubscriptionRegistry;
 use std::collections::BTreeMap;
@@ -24,7 +24,9 @@ use tc_algos::{
     GpuTriangleCounter, RunResult,
 };
 use tc_analytics::{Observed, Predicate};
+use tc_datasets::Dataset;
 use tc_gpusim::GpuConfig;
+use tc_graph::{Adjacency, VertexId};
 
 /// Response payload: ordered members appended after `id`/`ok`/`op`.
 pub type Payload = Vec<(String, Json)>;
@@ -128,6 +130,64 @@ fn with_scratch_for<R>(n: usize, f: impl FnOnce(&mut Scratch) -> R) -> R {
         scratch.reserve_vertices(n);
         f(scratch)
     })
+}
+
+/// The error for a vertex id outside a dataset of `n` vertices.
+fn out_of_range(vertex: VertexId, n: usize) -> ServiceError {
+    ServiceError::new(
+        ErrorKind::Failed,
+        format!("vertex {vertex} out of range (dataset has {n} vertices)"),
+    )
+}
+
+/// `recommend`'s payload, read from `g`'s neighbour lists and degrees.
+fn recommend_members<G: Adjacency + ?Sized>(
+    dataset: Dataset,
+    g: &G,
+    source: VertexId,
+    k: usize,
+) -> Result<Payload, ServiceError> {
+    let n = g.num_vertices();
+    if source as usize >= n {
+        return Err(out_of_range(source, n));
+    }
+    let scores = with_scratch_for(n, |scratch| {
+        tc_apps::recommend_for_with(g, source, k, scratch)
+    });
+    let rows: Vec<Json> = scores
+        .iter()
+        .map(|r| {
+            obj(vec![
+                ("candidate", u(r.candidate as u64)),
+                ("common_neighbors", u(r.common_neighbors as u64)),
+                ("jaccard", Json::Float(r.jaccard)),
+                ("adamic_adar", Json::Float(r.adamic_adar)),
+            ])
+        })
+        .collect();
+    Ok(vec![
+        ("dataset".into(), s(dataset.name())),
+        ("source".into(), u(source as u64)),
+        ("candidates".into(), Json::Arr(rows)),
+    ])
+}
+
+/// `clustering`'s payload: both coefficients fold one set of per-vertex
+/// triangle counts with `g`'s degrees.
+fn clustering_members<G: Adjacency + ?Sized>(dataset: Dataset, g: &G, counts: &[u64]) -> Payload {
+    let local = tc_apps::coefficients_from_counts(g, counts);
+    let global = tc_apps::global_from_counts(g, counts);
+    let mean_local = if local.is_empty() {
+        0.0
+    } else {
+        local.iter().sum::<f64>() / local.len() as f64
+    };
+    vec![
+        ("dataset".into(), s(dataset.name())),
+        ("nodes".into(), u(g.num_vertices() as u64)),
+        ("global_coefficient".into(), Json::Float(global)),
+        ("mean_local_coefficient".into(), Json::Float(mean_local)),
+    ]
 }
 
 /// The `"current"` member a `subscribe` response seeds the client with.
@@ -352,20 +412,19 @@ impl Engine {
             Request::Ktruss(dataset) => {
                 // Streamed datasets read from the maintained analytics
                 // state: the support pass is already incremental,
-                // leaving only the deterministic peel. The
-                // differential suite pins this bit-identical to the full
-                // decomposition below.
-                let supports = shard
-                    .registry
-                    .with_analytics(*dataset, |a, g| a.supports_in_edge_order(g));
-                let trussness = match supports {
-                    Some((g, supports)) => tc_apps::ktruss_from_supports(&g, supports),
-                    None => {
-                        let g = shard.registry.graph(*dataset);
-                        with_scratch_for(g.num_vertices(), |scratch| {
-                            tc_apps::ktruss_decomposition_with(&g, scratch)
-                        })
+                // leaving only the deterministic peel, which walks the
+                // materialised CSR. The differential suite pins this
+                // bit-identical to the full decomposition below.
+                let trussness = match shard.registry.view(*dataset) {
+                    DatasetView::Streamed(view) => {
+                        let g = view.graph();
+                        let supports = view.analytics().supports_in_edge_order(&g);
+                        drop(view);
+                        tc_apps::ktruss_from_supports(&g, supports)
                     }
+                    DatasetView::Static(g) => with_scratch_for(g.num_vertices(), |scratch| {
+                        tc_apps::ktruss_decomposition_with(&g, scratch)
+                    }),
                 };
                 // Deterministic summary: edges per truss level, ascending.
                 let mut levels: BTreeMap<u32, u64> = BTreeMap::new();
@@ -383,70 +442,27 @@ impl Engine {
                     ("levels".into(), Json::Arr(level_rows)),
                 ])
             }
-            Request::Clustering(dataset) => {
-                // Both coefficients fold one set of per-vertex counts.
-                // Streamed datasets read the maintained counts — no
-                // intersections at all, pinned bit-identical to the
-                // full recompute by the differential suite; static ones
-                // count once.
-                let maintained = shard
-                    .registry
-                    .with_analytics(*dataset, |a, _| a.local_counts().to_vec());
-                let (g, counts) = match maintained {
-                    Some(maintained) => maintained,
-                    None => {
-                        let g = shard.registry.graph(*dataset);
-                        let counts = with_scratch_for(g.num_vertices(), |scratch| {
-                            tc_apps::triangles_per_vertex_with(&g, scratch)
-                        });
-                        (g, counts)
-                    }
-                };
-                let local = tc_apps::coefficients_from_counts(&g, &counts);
-                let global = tc_apps::global_from_counts(&g, &counts);
-                let mean_local = if local.is_empty() {
-                    0.0
-                } else {
-                    local.iter().sum::<f64>() / local.len() as f64
-                };
-                Ok(vec![
-                    ("dataset".into(), s(dataset.name())),
-                    ("nodes".into(), u(g.num_vertices() as u64)),
-                    ("global_coefficient".into(), Json::Float(global)),
-                    ("mean_local_coefficient".into(), Json::Float(mean_local)),
-                ])
-            }
-            Request::Recommend { dataset, source, k } => {
-                let g = shard.registry.graph(*dataset);
-                if (*source as usize) >= g.num_vertices() {
-                    return Err(ServiceError::new(
-                        ErrorKind::Failed,
-                        format!(
-                            "vertex {source} out of range (dataset has {} vertices)",
-                            g.num_vertices()
-                        ),
-                    ));
+            Request::Clustering(dataset) => Ok(match shard.registry.view(*dataset) {
+                // Streamed datasets fold the maintained counts with the
+                // stream's own degrees — no intersections and no CSR,
+                // pinned bit-identical to the full recompute by the
+                // differential suite; static ones count once.
+                DatasetView::Streamed(view) => {
+                    clustering_members(*dataset, view.stream(), view.analytics().local_counts())
                 }
-                let scores = with_scratch_for(g.num_vertices(), |scratch| {
-                    tc_apps::recommend_for_with(&g, *source, *k, scratch)
-                });
-                let rows: Vec<Json> = scores
-                    .iter()
-                    .map(|r| {
-                        obj(vec![
-                            ("candidate", u(r.candidate as u64)),
-                            ("common_neighbors", u(r.common_neighbors as u64)),
-                            ("jaccard", Json::Float(r.jaccard)),
-                            ("adamic_adar", Json::Float(r.adamic_adar)),
-                        ])
-                    })
-                    .collect();
-                Ok(vec![
-                    ("dataset".into(), s(dataset.name())),
-                    ("source".into(), u(*source as u64)),
-                    ("candidates".into(), Json::Arr(rows)),
-                ])
-            }
+                DatasetView::Static(g) => {
+                    let counts = with_scratch_for(g.num_vertices(), |scratch| {
+                        tc_apps::triangles_per_vertex_with(&g, scratch)
+                    });
+                    clustering_members(*dataset, &*g, &counts)
+                }
+            }),
+            Request::Recommend { dataset, source, k } => match shard.registry.view(*dataset) {
+                DatasetView::Streamed(view) => {
+                    recommend_members(*dataset, view.stream(), *source, *k)
+                }
+                DatasetView::Static(g) => recommend_members(*dataset, &*g, *source, *k),
+            },
             Request::Load(target) => {
                 let prep = shard.registry.preprocessed(*target);
                 let mut payload = target_members(target);
@@ -511,18 +527,17 @@ impl Engine {
                 // Validate watched vertices against the dataset now, so
                 // a typo'd subscription fails loudly instead of sitting
                 // silent forever.
-                let g = shard.registry.graph(*dataset);
-                let n = g.num_vertices() as u32;
+                let n = match shard.registry.view(*dataset) {
+                    DatasetView::Streamed(view) => view.stream().num_vertices(),
+                    DatasetView::Static(g) => g.num_vertices(),
+                };
                 let watched_max = match predicate {
                     Predicate::SupportBelow { u, v, .. } => Some((*u).max(*v)),
                     Predicate::ClusteringDelta { vertex, .. } => Some(*vertex),
                     Predicate::CountCross { .. } => None,
                 };
-                if let Some(vertex) = watched_max.filter(|&vertex| vertex >= n) {
-                    return Err(ServiceError::new(
-                        ErrorKind::Failed,
-                        format!("vertex {vertex} out of range (dataset has {n} vertices)"),
-                    ));
+                if let Some(vertex) = watched_max.filter(|&vertex| vertex as usize >= n) {
+                    return Err(out_of_range(vertex, n));
                 }
                 // Subscriptions ride the delta layer: create the stream
                 // (if this dataset was never mutated) and its analytics
@@ -732,6 +747,7 @@ impl Engine {
                     ("misses", u(sum_reg(&|r| r.misses))),
                     ("evictions", u(sum_reg(&|r| r.evictions))),
                     ("invalidations", u(sum_reg(&|r| r.invalidations))),
+                    ("materializations", u(sum_reg(&|r| r.materializations))),
                     ("raw_graphs", u(sum_reg(&|r| r.raw_graphs as u64))),
                     ("streams", u(sum_reg(&|r| r.streams as u64))),
                     ("recovered_entries", u(recovered)),

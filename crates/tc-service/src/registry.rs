@@ -5,13 +5,17 @@
 //! the dataset's current graph — the raw stand-in, cached unbudgeted
 //! (stand-ins are modest and every query kind needs one) — and, once an
 //! `update` or `subscribe` touched the dataset, its stream: a
-//! [`tc_stream::DynamicGraph`] with its WAL cursor, snapshot cadence,
-//! batch latency and maintained analytics. From then on the current
-//! graph is the stream's materialised view, and every `update` drops the
-//! dataset's cached variants ([`RegistryStats::invalidations`]). A
-//! streamed dataset's `count` reads the stream's maintained count
-//! ([`GraphRegistry::count`]), so its variants are built only for
-//! `simulate` and `load`.
+//! [`tc_stream::DynamicGraph`] built on the stand-in's own `Arc`, with
+//! its WAL cursor, snapshot cadence, batch latency and maintained
+//! analytics. Every `update` drops the dataset's cached variants
+//! ([`RegistryStats::invalidations`]). A streamed dataset's `count` reads
+//! the stream's maintained count ([`GraphRegistry::count`]), and
+//! `recommend`, `clustering` and `subscribe` read the stream and its
+//! analytics in place ([`GraphRegistry::view`]). Only what needs a CSR
+//! rebuilds one from the stream, once per write
+//! ([`RegistryStats::materializations`]): a variant for `simulate` or
+//! `load`, the `ktruss` peel, and an analytics build on a dataset
+//! written before its first analytics read.
 //!
 //! A slot sits behind an `RwLock`: a query holds it shared while it reads
 //! the dataset, an `update` or `subscribe` holds it exclusively. The
@@ -121,6 +125,8 @@ pub struct RegistryStats {
     /// Reads served from maintained analytics state instead of a full
     /// recompute.
     pub analytics_reads: u64,
+    /// CSRs rebuilt from a stream for a read that needs one.
+    pub materializations: u64,
 }
 
 /// One cached preprocessed variant, described for the `stats` surface:
@@ -191,6 +197,42 @@ pub struct AnalyticsInfo {
     pub approx_bytes: usize,
 }
 
+/// A dataset as a read finds it ([`GraphRegistry::view`]).
+pub enum DatasetView<'a> {
+    /// Never streamed: the raw stand-in. The view keeps no hold.
+    Static(Arc<CsrGraph>),
+    /// Streamed: the stream, held shared until the view drops.
+    Streamed(StreamView<'a>),
+}
+
+/// A streamed dataset held shared for one read: its stream, read in
+/// place, and what derives from it.
+pub struct StreamView<'a> {
+    ds: RwLockReadGuard<'a, DatasetState>,
+    analytics_reads: &'a AtomicU64,
+}
+
+impl StreamView<'_> {
+    /// The stream: its vertices, sorted neighbour lists and degrees.
+    pub fn stream(&self) -> &DynamicGraph {
+        self.ds
+            .stream
+            .as_ref()
+            .expect("a streamed view has a stream")
+    }
+
+    /// The maintained analytics, built on first use.
+    pub fn analytics(&self) -> &AnalyticsState {
+        self.analytics_reads.fetch_add(1, Ordering::Relaxed);
+        self.ds.analytics().expect("a streamed view has a stream")
+    }
+
+    /// The stream materialised as a CSR, rebuilt once per write.
+    pub fn graph(&self) -> Arc<CsrGraph> {
+        self.ds.graph()
+    }
+}
+
 /// Everything the registry holds for one dataset apart from its
 /// variants. Reads share it; a write holds it alone.
 struct DatasetState {
@@ -199,6 +241,8 @@ struct DatasetState {
     /// edge set. Built by the first read that needs it (later readers
     /// wait for that one); every write resets it.
     graph: OnceLock<Arc<CsrGraph>>,
+    /// Times `graph` was rebuilt from the stream.
+    materializations: AtomicU64,
     /// The mutable edge set, created by the first `update` or
     /// `subscribe` and never removed; the fields below describe it.
     stream: Option<DynamicGraph>,
@@ -220,6 +264,7 @@ impl DatasetState {
         Self {
             dataset,
             graph: OnceLock::new(),
+            materializations: AtomicU64::new(0),
             stream: None,
             latency: Histogram::default(),
             applied_seq: 0,
@@ -232,7 +277,10 @@ impl DatasetState {
     fn graph(&self) -> Arc<CsrGraph> {
         Arc::clone(self.graph.get_or_init(|| {
             Arc::new(match &self.stream {
-                Some(stream) => stream.materialize(),
+                Some(stream) => {
+                    self.materializations.fetch_add(1, Ordering::Relaxed);
+                    stream.materialize()
+                }
                 None => tc_datasets::load(self.dataset),
             })
         }))
@@ -486,15 +534,16 @@ impl GraphRegistry {
         self.state(dataset).write().expect("dataset lock")
     }
 
-    /// `dataset` held exclusively, its stream created on first touch from
-    /// the current graph. While the dataset has no stream every cached
-    /// variant of it counts that graph, so a count memo of any of them
-    /// seeds the stream; without one the stream counts the graph once,
-    /// the last full count this dataset ever pays.
+    /// `dataset` held exclusively, its stream created on first touch on
+    /// the current graph, shared rather than copied. While the dataset
+    /// has no stream every cached variant of it counts that graph, so a
+    /// count memo of any of them seeds the stream; without one the
+    /// stream counts the graph once, the last full count this dataset
+    /// ever pays.
     fn write_streamed(&self, dataset: Dataset) -> RwLockWriteGuard<'_, DatasetState> {
         let mut ds = self.write(dataset);
         if ds.stream.is_none() {
-            let base = (*ds.graph()).clone();
+            let base = ds.graph();
             ds.stream = Some(match self.lru().memoised_count(dataset) {
                 Some(triangles) => DynamicGraph::with_initial_count(base, triangles),
                 None => DynamicGraph::new(base),
@@ -537,10 +586,27 @@ impl GraphRegistry {
     }
 
     /// The current graph for `dataset`: the streamed (mutated) edge set
-    /// if an `update` ever touched this dataset, else the raw stand-in,
-    /// loading (and caching) it on first use.
+    /// if an `update` ever touched this dataset, materialised (and
+    /// counted) once per write, else the raw stand-in, loading (and
+    /// caching) it on first use. A test and diagnostic surface: the
+    /// serving path reads through [`view`](Self::view).
     pub fn graph(&self, dataset: Dataset) -> Arc<CsrGraph> {
         self.read(dataset).graph()
+    }
+
+    /// `dataset` as a read finds it, under one shared hold: the raw
+    /// stand-in of a never-streamed dataset (loaded on first use, the
+    /// hold already released), or the stream of a streamed one, held
+    /// until the view drops, so its reads need nothing materialised.
+    pub fn view(&self, dataset: Dataset) -> DatasetView<'_> {
+        let ds = self.read(dataset);
+        if ds.stream.is_none() {
+            return DatasetView::Static(ds.graph());
+        }
+        DatasetView::Streamed(StreamView {
+            ds,
+            analytics_reads: &self.analytics_reads,
+        })
     }
 
     /// The preprocessed variant for `key`: cached, or computed (and, if
@@ -724,24 +790,6 @@ impl GraphRegistry {
         predicate.observe(analytics, ds.stream.as_ref().expect("the stream exists"))
     }
 
-    /// Runs `read` on `dataset`'s maintained analytics and the
-    /// materialised graph they describe (building the analytics on first
-    /// use), and returns that graph beside the result — e.g. the
-    /// per-edge supports the k-truss peel consumes, or the per-vertex
-    /// counts behind clustering. `None` if the dataset has no stream.
-    pub fn with_analytics<R>(
-        &self,
-        dataset: Dataset,
-        read: impl FnOnce(&AnalyticsState, &CsrGraph) -> R,
-    ) -> Option<(Arc<CsrGraph>, R)> {
-        let ds = self.read(dataset);
-        let analytics = ds.analytics()?;
-        let g = ds.graph();
-        self.analytics_reads.fetch_add(1, Ordering::Relaxed);
-        let value = read(analytics, &g);
-        Some((g, value))
-    }
-
     /// Analytics snapshot for `dataset`, if its stream carries state.
     pub fn analytics_info(&self, dataset: Dataset) -> Option<AnalyticsInfo> {
         let ds = self.read(dataset);
@@ -894,6 +942,7 @@ impl GraphRegistry {
         };
         for (_, state) in &self.datasets {
             let ds = state.read().expect("dataset lock");
+            stats.materializations += ds.materializations.load(Ordering::Relaxed);
             match (&ds.stream, ds.analytics.get()) {
                 (None, _) => stats.raw_graphs += usize::from(ds.graph.get().is_some()),
                 (Some(_), None) => stats.streams += 1,
@@ -1138,6 +1187,20 @@ mod tests {
             let res = r.apply_update(d, &[EdgeOp::Delete(u, v)]).expect("update");
             assert_eq!(res.triangles, tc_algos::cpu::node_iterator(&r.graph(d)));
         }
+    }
+
+    #[test]
+    fn a_new_stream_shares_the_stand_in_instead_of_copying_it() {
+        let r = registry(usize::MAX);
+        let d = Dataset::EmailEucore;
+        let stand_in = r.graph(d);
+        r.watch(d, &Predicate::CountCross { threshold: 0 });
+        let DatasetView::Streamed(view) = r.view(d) else {
+            panic!("a watch creates the stream");
+        };
+        assert!(std::ptr::eq(view.stream().base(), stand_in.as_ref()));
+        drop(view);
+        assert_eq!(r.stats().materializations, 0);
     }
 
     #[test]

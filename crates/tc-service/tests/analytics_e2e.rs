@@ -59,9 +59,9 @@ fn free_trio(g: &tc_graph::CsrGraph, local: &[u64]) -> (u32, u32, u32) {
                 // the triangle appears (degree d → d+2, +1 triangle)
                 // and when (v, w) is deleted again (d+2 → d+1, -1).
                 let (d, t) = (g.degree(w), local[w as usize]);
-                let c0 = tc_analytics::clustering_value(t, d);
-                let c1 = tc_analytics::clustering_value(t + 1, d + 2);
-                let c2 = tc_analytics::clustering_value(t, d + 1);
+                let c0 = tc_apps::local_coefficient(t, d);
+                let c1 = tc_apps::local_coefficient(t + 1, d + 2);
+                let c2 = tc_apps::local_coefficient(t, d + 1);
                 if c1 != c0 && c2 != c1 {
                     return (u, v, w);
                 }

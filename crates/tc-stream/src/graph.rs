@@ -7,7 +7,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 use tc_algos::engine::{self, Scratch};
 use tc_graph::layered::{merge_intersection_count, LayeredNeighbors};
-use tc_graph::{csr_from_sorted_lists, CsrGraph, VertexId};
+use tc_graph::{csr_from_sorted_lists, Adjacency, CsrGraph, VertexId};
 
 /// One streamed edge operation, in the original (pre-relabelling) id
 /// space. Endpoint order does not matter; self-loops and out-of-range
@@ -207,8 +207,10 @@ pub struct DynamicGraph {
 
 impl DynamicGraph {
     /// Wraps a base graph, computing its initial triangle count with the
-    /// CPU forward counter.
-    pub fn new(base: CsrGraph) -> Self {
+    /// CPU forward counter. A base passed as an `Arc` is shared, not
+    /// copied: the stream never changes it in place.
+    pub fn new(base: impl Into<Arc<CsrGraph>>) -> Self {
+        let base = base.into();
         let count = tc_algos::cpu::forward(&base);
         Self::with_initial_count(base, count)
     }
@@ -216,11 +218,12 @@ impl DynamicGraph {
     /// Wraps a base graph whose exact triangle count is already known
     /// (e.g. memoised by a cache layer). Supplying a wrong count poisons
     /// every later delta.
-    pub fn with_initial_count(base: CsrGraph, triangles: u64) -> Self {
+    pub fn with_initial_count(base: impl Into<Arc<CsrGraph>>, triangles: u64) -> Self {
+        let base = base.into();
         let policy = CompactionPolicy::for_graph(&base);
         let num_edges = base.num_edges();
         Self {
-            base: Arc::new(base),
+            base,
             delta: DeltaAdjacency::new(),
             triangles,
             num_edges,
@@ -572,6 +575,26 @@ impl DynamicGraph {
     /// then a single fill — with no sort and no `GraphBuilder`.
     pub fn materialize(&self) -> CsrGraph {
         csr_from_sorted_lists(self.num_vertices(), |u| self.neighbors(u))
+    }
+}
+
+/// The current graph read in place through its layered rows, so the
+/// per-vertex applications need no [`materialize`](DynamicGraph::materialize).
+impl Adjacency for DynamicGraph {
+    fn num_vertices(&self) -> usize {
+        DynamicGraph::num_vertices(self)
+    }
+
+    fn degree(&self, u: VertexId) -> usize {
+        DynamicGraph::degree(self, u)
+    }
+
+    fn neighbors(&self, u: VertexId) -> impl Iterator<Item = VertexId> + '_ {
+        DynamicGraph::neighbors(self, u)
+    }
+
+    fn has_edge(&self, u: VertexId, v: VertexId) -> bool {
+        DynamicGraph::has_edge(self, u, v)
     }
 }
 
