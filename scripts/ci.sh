@@ -16,6 +16,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> cargo clippy -p tc-algos --features simd -- -D warnings (vectorised tiers)"
 cargo clippy -p tc-algos --all-targets --features simd -- -D warnings
 
+echo "==> tcbench fmt --check and clippy -D warnings (its own package, which --all and --workspace skip, compiled against the workspace crates' signatures)"
+cargo fmt --manifest-path tcbench/Cargo.toml -- --check
+cargo clippy --offline --manifest-path tcbench/Cargo.toml --all-targets -- -D warnings
+
 echo "==> rustdoc -D warnings (broken or private intra-doc links)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
@@ -23,12 +27,13 @@ echo "==> tier-1: cargo build --release && cargo test -q (every workspace crate,
 cargo build --release
 cargo test -q
 
-echo "==> request_order, analytics_e2e, shard_e2e and the two fold-crossing cases, 20 runs each (a reordered update fails; a timeout turns a push that never arrives, or a worker wake-up that is lost in a drain or a saturated shard, into a failure; a compaction field that differs from a DynamicGraph replica or an unkilled server fails the fold-crossing cases)"
+echo "==> request_order, analytics_e2e, shard_e2e and the three fold-crossing cases, 20 runs each (a reordered update fails; a timeout turns a push that never arrives, or a worker wake-up that is lost in a drain or a saturated shard, into a failure; a compaction field, or a recommend, clustering or range-error line, that differs from a DynamicGraph replica or an unkilled server fails the fold-crossing cases)"
 for run in $(seq 1 20); do
     timeout 120 cargo test -q -p tc-service --test request_order --test analytics_e2e --test shard_e2e \
         || { echo "run $run of 20 failed or timed out"; exit 1; }
     timeout 120 cargo test -q -p tc-service --test service_e2e --test persistence_e2e -- \
         streamed_counts_match_a_dynamic_graph_replica_in_every_variant \
+        streamed_reads_match_a_dynamic_graph_replica_byte_for_byte \
         kill_mid_batch_replays_to_the_exact_unkilled_state \
         || { echo "fold-crossing run $run of 20 failed or timed out"; exit 1; }
 done
