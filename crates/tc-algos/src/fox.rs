@@ -12,7 +12,7 @@ use crate::tricore::TriCoreKernel;
 use crate::{run_kernel, GpuTriangleCounter, RunResult};
 use tc_gpusim::search::SearchCosts;
 use tc_gpusim::GpuConfig;
-use tc_graph::{DirectedGraph, VertexId};
+use tc_graph::DirectedGraph;
 
 /// Fox's adaptive-binning algorithm.
 #[derive(Clone, Debug)]
@@ -61,18 +61,6 @@ impl Fox {
         let mut order: Vec<u32> = (0..g.num_edges() as u32).collect();
         order.sort_by_key(bin);
         order
-    }
-
-    /// Per-edge work estimates in CSR edge order, used by the edge
-    /// reordering schemes (`tc-core`) to build balanced orders.
-    pub fn edge_work_estimates(g: &DirectedGraph) -> Vec<(u64, VertexId, VertexId)> {
-        let mut out = Vec::with_capacity(g.num_edges());
-        for u in g.vertices() {
-            for &v in g.out_neighbors(u) {
-                out.push(((g.out_degree(u) + g.out_degree(v)) as u64, u, v));
-            }
-        }
-        out
     }
 }
 

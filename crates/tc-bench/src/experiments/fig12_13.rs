@@ -9,8 +9,6 @@
 use crate::fmt::{ms, pct, Table};
 use crate::grid::par_map;
 use crate::runner::{measure_cached, ExperimentEnv, RunMeasurement};
-use tc_algos::bisson::Bisson;
-use tc_algos::hu::HuFineGrained;
 use tc_algos::GpuTriangleCounter;
 use tc_core::{DirectionScheme, OrderingScheme};
 use tc_datasets::Dataset;
@@ -99,16 +97,6 @@ pub fn run_on(
             a_direction: r[2].clone(),
         })
         .collect()
-}
-
-/// Figure 12: Hu's algorithm.
-pub fn run_fig12(env: &ExperimentEnv) -> Vec<Row> {
-    run_on(env, &fig12_suite(), &HuFineGrained::default())
-}
-
-/// Figure 13: Bisson's algorithm.
-pub fn run_fig13(env: &ExperimentEnv) -> Vec<Row> {
-    run_on(env, &fig13_suite(), &Bisson::default())
 }
 
 /// Renders either figure.

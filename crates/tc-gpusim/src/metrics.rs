@@ -53,13 +53,6 @@ impl KernelMetrics {
         }
         self.global_segments as f64 * 128.0 / self.kernel_cycles as f64
     }
-
-    /// Fraction of warp-barrier time lost to imbalance, relative to total
-    /// kernel work. A diagnostic for the Section 3.1 model.
-    pub fn barrier_wait_share(&self) -> f64 {
-        let denom = self.kernel_cycles.max(1) as f64 * self.warps.max(1) as f64;
-        self.barrier_wait_cycles as f64 / denom
-    }
 }
 
 #[cfg(test)]

@@ -74,11 +74,6 @@ impl GraphBuilder {
         self.edges.push(if u < v { (u, v) } else { (v, u) });
     }
 
-    /// Number of raw edges added so far (before dedup).
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalizes into a canonical [`CsrGraph`].
     ///
     /// Four steps, `O(n + m + Σ d log d)`:
