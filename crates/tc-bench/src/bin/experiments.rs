@@ -16,8 +16,8 @@
 //! `TC_PIPELINE_THREADS=1` for a fully serial harness. Each experiment's
 //! end-to-end wall-clock is reported on stderr.
 
-use std::time::Instant;
 use tc_bench::experiments::*;
+use tc_bench::measure::{self, Samples};
 use tc_bench::{cpu_bench, serve_bench, stream_bench, ExperimentEnv};
 use tc_datasets::Dataset;
 
@@ -65,25 +65,6 @@ impl Cli {
             Dataset::small_suite()
         } else {
             full
-        }
-    }
-
-    /// Records a benchmark run in `file`. Only full runs do: a `--small`
-    /// smoke run would clobber the committed rows with partial data.
-    fn write_bench(&self, file: &str, json: &str) -> bool {
-        if self.args.small {
-            eprintln!("partial run: {file} left untouched");
-            return true;
-        }
-        match std::fs::write(file, json) {
-            Ok(()) => {
-                eprintln!("wrote {file}");
-                true
-            }
-            Err(e) => {
-                eprintln!("could not write {file}: {e}");
-                false
-            }
         }
     }
 
@@ -179,21 +160,22 @@ impl Cli {
                 println!("{}", serve_bench::render(&rows));
                 let contended = serve_bench::run_contended(self.args.small);
                 println!("{}", serve_bench::render_contended(&contended));
-                let json = serve_bench::to_json_with_contended(&rows, &contended);
-                return self.write_bench("BENCH_service.json", &json);
+                let json = serve_bench::to_json(&rows, &contended);
+                return measure::write("BENCH_service.json", &json, self.args.small);
             }
             "cpu-bench" => {
                 let reports = cpu_bench::run(self.args.small);
                 println!("{}", cpu_bench::render(&reports));
-                return self.write_bench("BENCH_cpu.json", &cpu_bench::to_json(&reports));
+                let json = cpu_bench::to_json(&reports);
+                return measure::write("BENCH_cpu.json", &json, self.args.small);
             }
             "stream-bench" => {
                 let reports = stream_bench::run(self.args.small);
                 println!("{}", stream_bench::render(&reports));
                 let analytics = stream_bench::run_analytics(self.args.small);
                 println!("{}", stream_bench::render_analytics(&analytics));
-                let json = stream_bench::to_json_with_analytics(&reports, &analytics);
-                return self.write_bench("BENCH_stream.json", &json);
+                let json = stream_bench::to_json(&reports, &analytics);
+                return measure::write("BENCH_stream.json", &json, self.args.small);
             }
             other => {
                 eprintln!("unknown experiment id: {other}");
@@ -205,12 +187,9 @@ impl Cli {
 
     /// Runs one experiment and reports its end-to-end wall-clock.
     fn run_timed(&self, id: &str) -> bool {
-        let t = Instant::now();
-        let ok = self.run_one(id);
-        eprintln!(
-            "[{id}] harness wall-clock: {:.2}s",
-            t.elapsed().as_secs_f64()
-        );
+        let mut wall = Samples::default();
+        let ok = wall.time(|| self.run_one(id));
+        eprintln!("[{id}] harness wall-clock: {:.2}s", wall.mean_us() / 1e6);
         ok
     }
 }

@@ -18,11 +18,12 @@
 //! and never > 10% slower than it anywhere.
 
 use crate::fmt::Table;
-use std::time::Instant;
+use crate::measure;
 use tc_algos::cpu;
 use tc_algos::engine::{Kernel, Scratch};
 use tc_core::{DirectionScheme, OrderingScheme, Preprocessor};
 use tc_datasets::Dataset;
+use tc_service::json::{obj, s, u, Json};
 
 /// Timed repetitions per (dataset, ordering, kernel) cell, after one
 /// untimed warm-up run.
@@ -82,96 +83,56 @@ pub fn default_suite() -> Vec<Dataset> {
 
 fn time_counting(directed: &tc_graph::DirectedGraph, kernel_name: &str) -> (f64, u64) {
     let mut scratch = Scratch::new();
-    let run = |scratch: &mut Scratch| match kernel_name {
-        "merge" => cpu::directed_count_with(directed, Kernel::Merge, scratch),
+    // One untimed warm-up (and the count check), then the timed reps.
+    let (triangles, samples) = measure::repeat(1, REPS, || match kernel_name {
+        "merge" => cpu::directed_count_with(directed, Kernel::Merge, &mut scratch),
         "hashed" => cpu::hashed_count(directed),
-        "adaptive" => cpu::directed_count_with(directed, Kernel::Adaptive, scratch),
+        "adaptive" => cpu::directed_count_with(directed, Kernel::Adaptive, &mut scratch),
         other => unreachable!("unknown kernel {other}"),
-    };
-    let triangles = run(&mut scratch); // warm-up (and the count check)
-    let mut total_us = 0f64;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        let got = run(&mut scratch);
-        total_us += t.elapsed().as_secs_f64() * 1e6;
-        assert_eq!(got, triangles, "kernel must be deterministic");
-    }
-    (total_us / REPS as f64, triangles)
+    });
+    (samples.mean_us(), triangles)
 }
 
 fn run_dataset(dataset: Dataset) -> CpuBenchReport {
     let g = tc_datasets::load(dataset);
-    let mut rows = Vec::new();
-    let mut triangles = None;
-    let mut best_adaptive_speedup = f64::MIN;
-    let mut worst_adaptive_ratio = f64::MAX;
     // Independent ground truth on graphs small enough for the O(Σ d²)
     // reference; the big datasets are covered by cross-kernel agreement
     // (and the differential suites pin every kernel to node_iterator on
     // generated graphs).
     let ground_truth =
         (g.num_vertices() <= 100_000 && g.num_edges() <= 150_000).then(|| cpu::node_iterator(&g));
-
+    let mut triangles = None;
+    let mut rows = Vec::new();
+    // Per ordering: the best seed baseline's time over adaptive's.
+    let mut adaptive_ratios = Vec::new();
     for ordering in orderings() {
         // Preprocess once per ordering, outside every timed region.
         let prep = Preprocessor::new()
             .direction(DirectionScheme::ADirection)
             .ordering(ordering)
             .run(&g);
-        let directed = prep.directed();
-
-        let mut merge_us = 0f64;
-        let mut best_seed_us = f64::MAX;
-        let mut adaptive_us = 0f64;
-        for kernel in KERNELS {
-            let (mean_us, count) = time_counting(directed, kernel);
-            let expect = *triangles.get_or_insert(count);
+        let means = KERNELS.map(|kernel| {
+            let (mean_us, count) = time_counting(prep.directed(), kernel);
+            let expect = *triangles.get_or_insert(ground_truth.unwrap_or(count));
             assert_eq!(
                 count,
                 expect,
-                "{} under {} disagrees on {}",
-                kernel,
+                "{kernel} under {} disagrees on {} (node_iterator: {ground_truth:?})",
                 ordering.name(),
                 dataset.name()
             );
-            if let Some(truth) = ground_truth {
-                assert_eq!(
-                    count,
-                    truth,
-                    "{} under {} disagrees with node_iterator on {}",
-                    kernel,
-                    ordering.name(),
-                    dataset.name()
-                );
-            }
-            if kernel == "merge" {
-                merge_us = mean_us;
-            }
-            if kernel == "merge" || kernel == "hashed" {
-                best_seed_us = best_seed_us.min(mean_us);
-            }
-            if kernel == "adaptive" {
-                adaptive_us = mean_us;
-            }
+            mean_us
+        });
+        let [merge_us, hashed_us, adaptive_us] = means; // in KERNELS order
+        for (kernel, mean_us) in KERNELS.into_iter().zip(means) {
             rows.push(CpuBenchRow {
                 ordering: ordering.name().to_string(),
                 kernel: kernel.to_string(),
                 mean_us,
-                speedup_vs_merge: 0.0, // filled below once merge is known
+                speedup_vs_merge: measure::ratio(merge_us, mean_us),
             });
         }
-        for row in rows.iter_mut().rev().take(KERNELS.len()) {
-            row.speedup_vs_merge = if merge_us > 0.0 && row.mean_us > 0.0 {
-                merge_us / row.mean_us
-            } else {
-                0.0
-            };
-        }
-        if adaptive_us > 0.0 && best_seed_us < f64::MAX {
-            let ratio = best_seed_us / adaptive_us;
-            best_adaptive_speedup = best_adaptive_speedup.max(ratio);
-            worst_adaptive_ratio = worst_adaptive_ratio.min(ratio);
-        }
+        adaptive_ratios.push(measure::ratio(merge_us.min(hashed_us), adaptive_us));
     }
 
     CpuBenchReport {
@@ -180,16 +141,8 @@ fn run_dataset(dataset: Dataset) -> CpuBenchReport {
         edges: g.num_edges(),
         triangles: triangles.unwrap_or(0),
         rows,
-        best_adaptive_speedup: if best_adaptive_speedup == f64::MIN {
-            0.0
-        } else {
-            best_adaptive_speedup
-        },
-        worst_adaptive_ratio: if worst_adaptive_ratio == f64::MAX {
-            0.0
-        } else {
-            worst_adaptive_ratio
-        },
+        best_adaptive_speedup: adaptive_ratios.iter().copied().fold(0.0, f64::max),
+        worst_adaptive_ratio: adaptive_ratios.into_iter().reduce(f64::min).unwrap_or(0.0),
     }
 }
 
@@ -232,43 +185,34 @@ pub fn render(reports: &[CpuBenchReport]) -> String {
     out
 }
 
-/// Machine-readable form (hand-rolled JSON; the workspace has no serde).
-pub fn to_json(reports: &[CpuBenchReport]) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = format!(
-        "{{\n  \"benchmark\": \"cpu-kernel-sweep\",\n  \"cores\": {cores},\n  \"reps\": {REPS},\n  \
-         \"simd_tier\": \"{}\",\n  \"datasets\": [\n",
-        tc_algos::simd::active_tier()
-    );
-    for (i, r) in reports.iter().enumerate() {
-        let rows: Vec<String> = r
-            .rows
-            .iter()
-            .map(|row| {
-                format!(
-                    "      {{\"ordering\": \"{}\", \"kernel\": \"{}\", \"mean_us\": {:.2}, \
-                     \"speedup_vs_merge\": {:.3}}}",
-                    row.ordering, row.kernel, row.mean_us, row.speedup_vs_merge
-                )
-            })
-            .collect();
-        out.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"nodes\": {}, \"edges\": {}, \"triangles\": {}, \
-             \"best_adaptive_speedup\": {:.3}, \"worst_adaptive_ratio\": {:.3}, \"rows\": [\n{}\n    ]}}{}\n",
-            r.dataset,
-            r.nodes,
-            r.edges,
-            r.triangles,
-            r.best_adaptive_speedup,
-            r.worst_adaptive_ratio,
-            rows.join(",\n"),
-            if i + 1 < reports.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+/// The `BENCH_cpu.json` record of a sweep.
+pub fn to_json(reports: &[CpuBenchReport]) -> Json {
+    let datasets = reports.iter().map(|r| {
+        let rows = r.rows.iter().map(|row| {
+            obj(vec![
+                ("ordering", s(&row.ordering)),
+                ("kernel", s(&row.kernel)),
+                ("mean_us", Json::Float(row.mean_us)),
+                ("speedup_vs_merge", Json::Float(row.speedup_vs_merge)),
+            ])
+        });
+        obj(vec![
+            ("dataset", s(&r.dataset)),
+            ("nodes", u(r.nodes as u64)),
+            ("edges", u(r.edges as u64)),
+            ("triangles", u(r.triangles)),
+            (
+                "best_adaptive_speedup",
+                Json::Float(r.best_adaptive_speedup),
+            ),
+            ("worst_adaptive_ratio", Json::Float(r.worst_adaptive_ratio)),
+            ("rows", Json::Arr(rows.collect())),
+        ])
+    });
+    let mut bench = measure::header("cpu-kernel-sweep");
+    bench.push(("reps", u(REPS as u64)));
+    bench.push(("datasets", Json::Arr(datasets.collect())));
+    obj(bench)
 }
 
 #[cfg(test)]
@@ -289,28 +233,5 @@ mod tests {
         for row in r.rows.iter().filter(|row| row.kernel == "merge") {
             assert!((row.speedup_vs_merge - 1.0).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn json_shape_is_valid() {
-        let reports = vec![CpuBenchReport {
-            dataset: "email-Enron".into(),
-            nodes: 12_000,
-            edges: 77_954,
-            triangles: 42,
-            rows: vec![CpuBenchRow {
-                ordering: "A-order".into(),
-                kernel: "adaptive".into(),
-                mean_us: 1234.5,
-                speedup_vs_merge: 2.0,
-            }],
-            best_adaptive_speedup: 2.0,
-            worst_adaptive_ratio: 1.5,
-        }];
-        let json = to_json(&reports);
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"speedup_vs_merge\": 2.000"));
-        assert!(json.contains("\"best_adaptive_speedup\": 2.000"));
-        assert_eq!(json.matches("\"kernel\"").count(), 1);
     }
 }

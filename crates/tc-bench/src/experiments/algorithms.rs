@@ -9,8 +9,8 @@
 
 use crate::fmt::{ms, Table};
 use crate::grid::par_map;
+use crate::measure::Samples;
 use crate::runner::ExperimentEnv;
-use std::time::Instant;
 use tc_algos::cpu;
 use tc_core::{DirectionScheme, OrderingScheme};
 use tc_datasets::Dataset;
@@ -53,12 +53,12 @@ pub fn run_cpu(env: &ExperimentEnv, datasets: &[Dataset]) -> Vec<(String, String
         let g = env.graph(d);
         let directed = DirectionScheme::DegreeBased.orient(&g);
         let timed = |name: &str, f: &dyn Fn() -> u64| {
-            let t = Instant::now();
-            let tri = f();
+            let mut wall = Samples::default();
+            let tri = wall.time(f);
             (
                 name.to_string(),
                 d.name().to_string(),
-                t.elapsed().as_secs_f64() * 1e3,
+                wall.mean_us() / 1e3,
                 tri,
             )
         };

@@ -8,8 +8,8 @@
 
 use crate::fmt::{ms, pct, Table};
 use crate::grid::par_map;
+use crate::measure::Samples;
 use crate::runner::{measure_cached, ExperimentEnv};
-use std::time::Instant;
 use tc_algos::fox::Fox;
 use tc_algos::gunrock::Gunrock;
 use tc_algos::GpuTriangleCounter;
@@ -95,11 +95,10 @@ pub fn run_fig15(env: &ExperimentEnv, datasets: &[Dataset]) -> Vec<FoxRow> {
         let directed = DirectionScheme::DegreeBased.orient(&g);
         let binned = Fox::default().count(&directed, env.gpu());
 
-        let t = Instant::now();
         // One block consumes warps_per_block × edges_per_warp edges.
         let edges_per_block = env.gpu().warps_per_block * Fox::default().edges_per_warp;
-        let order = a_order_edges(&directed, env.params(), edges_per_block);
-        let prep_ms = t.elapsed().as_secs_f64() * 1e3;
+        let mut prep = Samples::default();
+        let order = prep.time(|| a_order_edges(&directed, env.params(), edges_per_block));
         let balanced = Fox::with_edge_order(order).count(&directed, env.gpu());
         assert_eq!(binned.triangles, balanced.triangles, "{}", d.name());
 
@@ -107,7 +106,7 @@ pub fn run_fig15(env: &ExperimentEnv, datasets: &[Dataset]) -> Vec<FoxRow> {
             dataset: d.name(),
             binned: env.gpu().cycles_to_ms(binned.metrics.kernel_cycles),
             balanced: env.gpu().cycles_to_ms(balanced.metrics.kernel_cycles),
-            balanced_prep: prep_ms,
+            balanced_prep: prep.mean_us() / 1e3,
         }
     })
 }

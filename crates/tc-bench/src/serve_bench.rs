@@ -33,11 +33,13 @@
 //! skew actually landed.
 
 use crate::fmt::Table;
+use crate::measure::{self, Samples};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::time::{Duration, Instant};
+use std::net::SocketAddr;
 use tc_datasets::Dataset;
 use tc_service::client::ServiceClient;
+use tc_service::json::{obj, s, u, Json};
 use tc_service::server::{spawn, ServerConfig};
 
 /// One measured load pass.
@@ -79,81 +81,82 @@ pub struct ServeBenchRow {
 impl ServeBenchRow {
     /// Warm / cold throughput ratio — the amortisation win.
     pub fn speedup(&self) -> f64 {
-        if self.cold.throughput_rps > 0.0 {
-            self.warm.throughput_rps / self.cold.throughput_rps
-        } else {
-            0.0
-        }
+        measure::ratio(self.warm.throughput_rps, self.cold.throughput_rps)
     }
 
     /// Restart / cold throughput ratio — the amortisation win that
     /// survives a process restart.
     pub fn restart_speedup(&self) -> f64 {
-        if self.cold.throughput_rps > 0.0 {
-            self.restart.throughput_rps / self.cold.throughput_rps
-        } else {
-            0.0
-        }
+        measure::ratio(self.restart.throughput_rps, self.cold.throughput_rps)
     }
 }
 
-/// Latency quantile from a sorted sample vector (exact, nearest-rank).
-fn quantile_us(sorted: &[Duration], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
+impl PassStats {
+    /// The pass's members of a BENCH row.
+    fn members(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("requests", u(self.requests as u64)),
+            ("wall_s", Json::Float(self.wall_s)),
+            ("throughput_rps", Json::Float(self.throughput_rps)),
+            ("p50_us", u(self.p50_us)),
+            ("p99_us", u(self.p99_us)),
+        ]
     }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1].as_micros() as u64
+
+    /// The pass's cells of a text table: requests, wall s, rps, p50 µs
+    /// and p99 µs.
+    fn cells(&self) -> [String; 5] {
+        [
+            self.requests.to_string(),
+            format!("{:.2}", self.wall_s),
+            format!("{:.1}", self.throughput_rps),
+            self.p50_us.to_string(),
+            self.p99_us.to_string(),
+        ]
+    }
 }
 
-/// Runs one pass: `clients` threads each issuing `per_client` count
-/// queries against `addr`.
-fn run_pass(
-    addr: std::net::SocketAddr,
-    dataset: Dataset,
-    clients: usize,
-    per_client: usize,
-) -> PassStats {
-    let query = format!(r#"{{"op":"count","dataset":"{}"}}"#, dataset.name());
-    let t = Instant::now();
-    let mut latencies: Vec<Duration> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..clients)
-            .map(|_| {
-                let query = &query;
-                scope.spawn(move || {
-                    let mut client = ServiceClient::connect(addr).expect("connect");
-                    (0..per_client)
-                        .map(|_| {
-                            let t = Instant::now();
-                            let response = client.request_raw(query).expect("query");
+/// Runs one load pass against `addr`: one client thread per source, each
+/// on its own connection, sending its source's request lines one at a
+/// time. Every response must be ok; the quantiles are nearest-rank over
+/// every request of the pass.
+fn load<S: Iterator<Item = String> + Send>(addr: SocketAddr, sources: Vec<S>) -> PassStats {
+    let mut wall = Samples::default();
+    let latencies = wall.time(|| {
+        std::thread::scope(|scope| {
+            let clients: Vec<_> = sources
+                .into_iter()
+                .map(|lines| {
+                    scope.spawn(move || {
+                        let mut client = ServiceClient::connect(addr).expect("connect");
+                        let mut latencies = Samples::default();
+                        for line in lines {
+                            let response = latencies.time(|| client.request_raw(&line));
+                            let response = response.expect("bench request");
                             assert!(
                                 response.contains("\"ok\":true"),
-                                "bench query failed: {response}"
+                                "bench request failed: {line} -> {response}"
                             );
-                            t.elapsed()
-                        })
-                        .collect::<Vec<_>>()
+                        }
+                        latencies
+                    })
                 })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("client thread"))
-            .collect()
+                .collect();
+            let mut all = Samples::default();
+            for client in clients {
+                all.append(client.join().expect("client thread"));
+            }
+            all
+        })
     });
-    let wall_s = t.elapsed().as_secs_f64();
-    latencies.sort_unstable();
-    let requests = latencies.len();
+    let wall_s = wall.mean_us() / 1e6;
+    let requests = latencies.count();
     PassStats {
         requests,
         wall_s,
-        throughput_rps: if wall_s > 0.0 {
-            requests as f64 / wall_s
-        } else {
-            0.0
-        },
-        p50_us: quantile_us(&latencies, 0.50),
-        p99_us: quantile_us(&latencies, 0.99),
+        throughput_rps: measure::ratio(requests as f64, wall_s),
+        p50_us: latencies.quantile_us(0.50),
+        p99_us: latencies.quantile_us(0.99),
     }
 }
 
@@ -177,25 +180,32 @@ pub fn run(small: bool) -> Vec<ServeBenchRow> {
     suite
         .into_iter()
         .map(|dataset| {
+            let query = format!(r#"{{"op":"count","dataset":"{}"}}"#, dataset.name());
+            let pass = |addr| {
+                load(
+                    addr,
+                    vec![std::iter::repeat_n(query.clone(), per_client); clients],
+                )
+            };
+            let server = |config| {
+                spawn(ServerConfig {
+                    shards: 1,
+                    workers,
+                    ..config
+                })
+                .expect("bind")
+            };
             // Cold: zero budget — the registry admits nothing, every
             // query pays direction + ordering + rebuild.
-            let cold_server = spawn(ServerConfig {
-                shards: 1,
-                workers,
+            let cold_server = server(ServerConfig {
                 registry_budget: 0,
                 ..ServerConfig::default()
-            })
-            .expect("bind cold server");
-            let cold = run_pass(cold_server.addr(), dataset, clients, per_client);
+            });
+            let cold = pass(cold_server.addr());
             cold_server.shutdown();
 
             // Warm: default budget, one warm-up query, then the same load.
-            let warm_server = spawn(ServerConfig {
-                shards: 1,
-                workers,
-                ..ServerConfig::default()
-            })
-            .expect("bind warm server");
+            let warm_server = server(ServerConfig::default());
             let mut warmup = ServiceClient::connect(warm_server.addr()).expect("connect");
             warmup
                 .request_ok(&format!(
@@ -203,7 +213,7 @@ pub fn run(small: bool) -> Vec<ServeBenchRow> {
                     dataset.name()
                 ))
                 .expect("warm-up load");
-            let warm = run_pass(warm_server.addr(), dataset, clients, per_client);
+            let warm = pass(warm_server.addr());
             warm_server.shutdown();
 
             // Restart: life 1 populates the snapshot directory with one
@@ -215,36 +225,24 @@ pub fn run(small: bool) -> Vec<ServeBenchRow> {
                 std::process::id()
             ));
             let _ = std::fs::remove_dir_all(&persist_dir);
-            {
-                let life1 = spawn(ServerConfig {
-                    shards: 1,
-                    workers,
+            let persistent = || {
+                server(ServerConfig {
                     persist_dir: Some(persist_dir.clone()),
                     ..ServerConfig::default()
                 })
-                .expect("bind persistent server");
-                let mut seed = ServiceClient::connect(life1.addr()).expect("connect");
-                seed.request_ok(&format!(
-                    r#"{{"op":"count","dataset":"{}"}}"#,
-                    dataset.name()
-                ))
-                .expect("seeding count");
-                life1.shutdown();
-            }
-            let life2 = spawn(ServerConfig {
-                shards: 1,
-                workers,
-                persist_dir: Some(persist_dir.clone()),
-                ..ServerConfig::default()
-            })
-            .expect("bind restarted server");
-            let restart = run_pass(life2.addr(), dataset, clients, per_client);
+            };
+            let life1 = persistent();
+            let mut seed = ServiceClient::connect(life1.addr()).expect("connect");
+            seed.request_ok(&query).expect("seeding count");
+            life1.shutdown();
+            let life2 = persistent();
+            let restart = pass(life2.addr());
             let mut probe = ServiceClient::connect(life2.addr()).expect("connect");
             let stats = probe.request_ok(r#"{"op":"stats"}"#).expect("stats");
             let recovered_entries = stats
                 .get("cache")
                 .and_then(|c| c.get("recovered_entries"))
-                .and_then(tc_service::json::Json::as_u64)
+                .and_then(Json::as_u64)
                 .expect("recovered_entries in stats");
             assert!(
                 recovered_entries >= 1,
@@ -279,25 +277,19 @@ pub fn render(rows: &[ServeBenchRow]) -> String {
         "warm/cold",
     ]);
     for row in rows {
-        for (pass, stats) in [
-            ("cold", &row.cold),
-            ("warm", &row.warm),
-            ("restart", &row.restart),
+        for (pass, stats, ratio) in [
+            ("cold", &row.cold, String::new()),
+            ("warm", &row.warm, format!("{:.1}x", row.speedup())),
+            (
+                "restart",
+                &row.restart,
+                format!("{:.1}x", row.restart_speedup()),
+            ),
         ] {
-            t.row([
-                row.dataset.clone(),
-                pass.to_string(),
-                stats.requests.to_string(),
-                format!("{:.2}", stats.wall_s),
-                format!("{:.1}", stats.throughput_rps),
-                stats.p50_us.to_string(),
-                stats.p99_us.to_string(),
-                match pass {
-                    "warm" => format!("{:.1}x", row.speedup()),
-                    "restart" => format!("{:.1}x", row.restart_speedup()),
-                    _ => String::new(),
-                },
-            ]);
+            let mut cells = vec![row.dataset.clone(), pass.to_string()];
+            cells.extend(stats.cells());
+            cells.push(ratio);
+            t.row(cells);
         }
     }
     format!(
@@ -316,16 +308,8 @@ pub struct ContendedRow {
     pub shards: usize,
     /// Concurrent client connections.
     pub clients: usize,
-    /// Requests completed across all clients.
-    pub requests: usize,
-    /// End-to-end wall-clock of the pass.
-    pub wall_s: f64,
-    /// Requests per second.
-    pub throughput_rps: f64,
-    /// Median request latency (µs).
-    pub p50_us: u64,
-    /// 99th-percentile request latency (µs).
-    pub p99_us: u64,
+    /// The pass across all clients.
+    pub pass: PassStats,
     /// Requests each shard executed (from the server's per-shard stats
     /// rows) — the zipf skew made visible.
     pub per_shard_requests: Vec<u64>,
@@ -408,52 +392,21 @@ pub fn run_contended(small: bool) -> Vec<ContendedRow> {
             })
             .expect("bind contended server");
             let addr = server.addr();
-
-            let t = Instant::now();
-            let mut latencies: Vec<Duration> = std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..clients)
-                    .map(|c| {
-                        let suite = &suite;
-                        let cumulative = &cumulative;
-                        scope.spawn(move || {
-                            let mut rng =
-                                StdRng::seed_from_u64(0x5EED ^ (c as u64).wrapping_mul(0x9E37));
-                            let mut client = ServiceClient::connect(addr).expect("connect");
-                            (0..per_client)
-                                .map(|_| {
-                                    let line = contended_line(suite, cumulative, &mut rng);
-                                    let t = Instant::now();
-                                    let response =
-                                        client.request_raw(&line).expect("contended query");
-                                    assert!(
-                                        response.contains("\"ok\":true"),
-                                        "contended query failed: {line} -> {response}"
-                                    );
-                                    t.elapsed()
-                                })
-                                .collect::<Vec<_>>()
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .flat_map(|h| h.join().expect("client thread"))
-                    .collect()
-            });
-            let wall_s = t.elapsed().as_secs_f64();
-            latencies.sort_unstable();
-            let requests = latencies.len();
+            let sources = (0..clients)
+                .map(|c| {
+                    let (suite, cumulative) = (&suite, &cumulative);
+                    let mut rng = StdRng::seed_from_u64(0x5EED ^ (c as u64).wrapping_mul(0x9E37));
+                    (0..per_client).map(move |_| contended_line(suite, cumulative, &mut rng))
+                })
+                .collect();
+            let pass = load(addr, sources);
 
             let mut probe = ServiceClient::connect(addr).expect("connect probe");
             let stats = probe.request_ok(r#"{"op":"stats"}"#).expect("stats");
             let per_shard_requests: Vec<u64> = match stats.get("shards") {
-                Some(tc_service::json::Json::Arr(rows)) => rows
+                Some(Json::Arr(rows)) => rows
                     .iter()
-                    .map(|r| {
-                        r.get("requests")
-                            .and_then(tc_service::json::Json::as_u64)
-                            .unwrap_or(0)
-                    })
+                    .map(|r| r.get("requests").and_then(Json::as_u64).unwrap_or(0))
                     .collect(),
                 _ => Vec::new(),
             };
@@ -462,15 +415,7 @@ pub fn run_contended(small: bool) -> Vec<ContendedRow> {
             ContendedRow {
                 shards,
                 clients,
-                requests,
-                wall_s,
-                throughput_rps: if wall_s > 0.0 {
-                    requests as f64 / wall_s
-                } else {
-                    0.0
-                },
-                p50_us: quantile_us(&latencies, 0.50),
-                p99_us: quantile_us(&latencies, 0.99),
+                pass,
                 per_shard_requests,
             }
         })
@@ -490,20 +435,16 @@ pub fn render_contended(rows: &[ContendedRow]) -> String {
         "per-shard requests",
     ]);
     for row in rows {
-        t.row([
-            row.shards.to_string(),
-            row.clients.to_string(),
-            row.requests.to_string(),
-            format!("{:.2}", row.wall_s),
-            format!("{:.1}", row.throughput_rps),
-            row.p50_us.to_string(),
-            row.p99_us.to_string(),
+        let mut cells = vec![row.shards.to_string(), row.clients.to_string()];
+        cells.extend(row.pass.cells());
+        cells.push(
             row.per_shard_requests
                 .iter()
                 .map(u64::to_string)
                 .collect::<Vec<_>>()
                 .join("/"),
-        ]);
+        );
+        t.row(cells);
     }
     format!(
         "Contended workload (zipf dataset popularity, 60/20/20 count/recommend/update mix, \
@@ -512,72 +453,41 @@ pub fn render_contended(rows: &[ContendedRow]) -> String {
     )
 }
 
-/// Machine-readable form (hand-rolled JSON; the workspace has no serde).
-pub fn to_json(rows: &[ServeBenchRow]) -> String {
-    to_json_with_contended(rows, &[])
-}
-
-/// [`to_json`] plus the contended-sweep section.
-pub fn to_json_with_contended(rows: &[ServeBenchRow], contended: &[ContendedRow]) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let pass = |s: &PassStats| {
-        format!(
-            "{{\"requests\": {}, \"wall_s\": {:.4}, \"throughput_rps\": {:.3}, \
-             \"p50_us\": {}, \"p99_us\": {}}}",
-            s.requests, s.wall_s, s.throughput_rps, s.p50_us, s.p99_us
-        )
-    };
-    let mut out = format!(
-        "{{\n  \"benchmark\": \"service-cold-vs-warm\",\n  \"cores\": {cores},\n  \"datasets\": [\n"
-    );
-    for (i, r) in rows.iter().enumerate() {
-        out.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"clients\": {}, \"workers\": {}, \
-             \"cold\": {}, \"warm\": {}, \"restart\": {}, \"warm_over_cold\": {:.3}, \
-             \"restart_over_cold\": {:.3}, \"recovered_entries\": {}}}{}\n",
-            r.dataset,
-            r.clients,
-            r.workers,
-            pass(&r.cold),
-            pass(&r.warm),
-            pass(&r.restart),
-            r.speedup(),
-            r.restart_speedup(),
-            r.recovered_entries,
-            if i + 1 < rows.len() { "," } else { "" },
-        ));
-    }
-    if contended.is_empty() {
-        out.push_str("  ]\n}\n");
-        return out;
-    }
-    out.push_str("  ],\n  \"contended\": {\n    \"op_mix\": \"count60/recommend20/update20\",\n    \"rows\": [\n");
-    for (i, r) in contended.iter().enumerate() {
-        let spread = r
-            .per_shard_requests
-            .iter()
-            .map(u64::to_string)
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "      {{\"shards\": {}, \"clients\": {}, \"requests\": {}, \"wall_s\": {:.4}, \
-             \"throughput_rps\": {:.3}, \"p50_us\": {}, \"p99_us\": {}, \
-             \"per_shard_requests\": [{}]}}{}\n",
-            r.shards,
-            r.clients,
-            r.requests,
-            r.wall_s,
-            r.throughput_rps,
-            r.p50_us,
-            r.p99_us,
-            spread,
-            if i + 1 < contended.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("    ]\n  }\n}\n");
-    out
+/// The `BENCH_service.json` record of the passes and the contended sweep.
+pub fn to_json(rows: &[ServeBenchRow], contended: &[ContendedRow]) -> Json {
+    let datasets = rows.iter().map(|r| {
+        obj(vec![
+            ("dataset", s(&r.dataset)),
+            ("clients", u(r.clients as u64)),
+            ("workers", u(r.workers as u64)),
+            ("cold", obj(r.cold.members())),
+            ("warm", obj(r.warm.members())),
+            ("restart", obj(r.restart.members())),
+            ("warm_over_cold", Json::Float(r.speedup())),
+            ("restart_over_cold", Json::Float(r.restart_speedup())),
+            ("recovered_entries", u(r.recovered_entries)),
+        ])
+    });
+    let contended = contended.iter().map(|r| {
+        let mut row = vec![
+            ("shards", u(r.shards as u64)),
+            ("clients", u(r.clients as u64)),
+        ];
+        row.extend(r.pass.members());
+        let spread = r.per_shard_requests.iter().map(|&n| u(n)).collect();
+        row.push(("per_shard_requests", Json::Arr(spread)));
+        obj(row)
+    });
+    let mut bench = measure::header("service-cold-vs-warm");
+    bench.push(("datasets", Json::Arr(datasets.collect())));
+    bench.push((
+        "contended",
+        obj(vec![
+            ("op_mix", s("count60/recommend20/update20")),
+            ("rows", Json::Arr(contended.collect())),
+        ]),
+    ));
+    obj(bench)
 }
 
 #[cfg(test)]
@@ -592,67 +502,6 @@ mod tests {
             p50_us: 100,
             p99_us: 900,
         }
-    }
-
-    #[test]
-    fn json_shape_is_valid() {
-        let rows = vec![ServeBenchRow {
-            dataset: "road_central".into(),
-            clients: 4,
-            workers: 4,
-            cold: stats(2.0),
-            warm: stats(20.0),
-            restart: stats(16.0),
-            recovered_entries: 1,
-        }];
-        let json = to_json(&rows);
-        assert!(json.contains("\"warm_over_cold\": 10.000"));
-        assert!(json.contains("\"restart_over_cold\": 8.000"));
-        assert!(json.contains("\"recovered_entries\": 1"));
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert_eq!(json.matches("\"dataset\"").count(), 1);
-    }
-
-    #[test]
-    fn contended_json_section_is_shaped() {
-        let rows = vec![ServeBenchRow {
-            dataset: "road_central".into(),
-            clients: 4,
-            workers: 4,
-            cold: stats(2.0),
-            warm: stats(20.0),
-            restart: stats(16.0),
-            recovered_entries: 1,
-        }];
-        let contended = vec![
-            ContendedRow {
-                shards: 1,
-                clients: 8,
-                requests: 160,
-                wall_s: 1.0,
-                throughput_rps: 160.0,
-                p50_us: 200,
-                p99_us: 1500,
-                per_shard_requests: vec![161],
-            },
-            ContendedRow {
-                shards: 2,
-                clients: 8,
-                requests: 160,
-                wall_s: 0.5,
-                throughput_rps: 320.0,
-                p50_us: 120,
-                p99_us: 900,
-                per_shard_requests: vec![100, 61],
-            },
-        ];
-        let json = to_json_with_contended(&rows, &contended);
-        assert!(json.contains("\"contended\""));
-        assert!(json.contains("\"per_shard_requests\": [100, 61]"));
-        assert!(json.contains("\"op_mix\""));
-        assert!(json.trim_end().ends_with('}'));
-        // Without contended rows the section is absent entirely.
-        assert!(!to_json(&rows).contains("\"contended\""));
     }
 
     #[test]
@@ -683,21 +532,12 @@ mod tests {
             let parsed = tc_service::json::parse(&line).expect("request parses");
             let op = parsed
                 .get("op")
-                .and_then(tc_service::json::Json::as_str)
+                .and_then(Json::as_str)
                 .expect("op field")
                 .to_string();
             ops.insert(op);
         }
         assert!(ops.contains("count") && ops.contains("recommend") && ops.contains("update"));
-    }
-
-    #[test]
-    fn quantiles_are_nearest_rank() {
-        let samples: Vec<Duration> = (1..=100).map(Duration::from_micros).collect();
-        assert_eq!(quantile_us(&samples, 0.50), 50);
-        assert_eq!(quantile_us(&samples, 0.99), 99);
-        assert_eq!(quantile_us(&samples, 1.0), 100);
-        assert_eq!(quantile_us(&[], 0.5), 0);
     }
 
     #[test]

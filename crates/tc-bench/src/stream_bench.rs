@@ -19,13 +19,14 @@
 //! of `|E|`).
 
 use crate::fmt::Table;
+use crate::measure::{self, Samples};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::HashSet;
-use std::time::Instant;
 use tc_analytics::AnalyticsState;
 use tc_datasets::Dataset;
 use tc_graph::GraphBuilder;
+use tc_service::json::{obj, s, u, Json};
 use tc_stream::{DynamicGraph, EdgeOp};
 
 /// Batches timed per (dataset, batch size) configuration.
@@ -52,11 +53,7 @@ pub struct StreamBenchRow {
 impl StreamBenchRow {
     /// Recompute / incremental time ratio — the streaming win.
     pub fn speedup(&self) -> f64 {
-        if self.inc_mean_us > 0.0 {
-            self.full_mean_us / self.inc_mean_us
-        } else {
-            0.0
-        }
+        measure::ratio(self.full_mean_us, self.inc_mean_us)
     }
 }
 
@@ -105,20 +102,12 @@ pub struct AnalyticsReadRow {
 impl AnalyticsReadRow {
     /// Full-recompute / incremental k-truss read-latency ratio.
     pub fn ktruss_speedup(&self) -> f64 {
-        if self.ktruss_inc_mean_us > 0.0 {
-            self.ktruss_full_mean_us / self.ktruss_inc_mean_us
-        } else {
-            0.0
-        }
+        measure::ratio(self.ktruss_full_mean_us, self.ktruss_inc_mean_us)
     }
 
     /// Full-recompute / incremental clustering read-latency ratio.
     pub fn clustering_speedup(&self) -> f64 {
-        if self.clustering_inc_mean_us > 0.0 {
-            self.clustering_full_mean_us / self.clustering_inc_mean_us
-        } else {
-            0.0
-        }
+        measure::ratio(self.clustering_full_mean_us, self.clustering_inc_mean_us)
     }
 }
 
@@ -198,20 +187,16 @@ fn run_dataset(dataset: Dataset) -> StreamBenchReport {
 
     let mut rows = Vec::with_capacity(batch_sizes.len());
     for &batch_size in &batch_sizes {
-        let mut inc_us = 0u64;
-        let mut full_us = 0u64;
+        let (mut inc, mut full) = (Samples::default(), Samples::default());
         for _ in 0..REPS {
             let ops = draw_batch(&mut rng, n, &mut edges, &mut present, batch_size);
-
-            let t = Instant::now();
-            let result = g.apply_batch(&ops);
-            inc_us += t.elapsed().as_micros() as u64;
-
-            let t = Instant::now();
-            let rebuilt = GraphBuilder::from_edges(n as usize, &edges).build();
-            let full_count = tc_algos::cpu::forward(&rebuilt);
-            full_us += t.elapsed().as_micros() as u64;
-
+            let result = inc.time(|| g.apply_batch(&ops));
+            // The rebuilt graph is dropped outside the timed region.
+            let (_rebuilt, full_count) = full.time(|| {
+                let rebuilt = GraphBuilder::from_edges(n as usize, &edges).build();
+                let count = tc_algos::cpu::forward(&rebuilt);
+                (rebuilt, count)
+            });
             assert_eq!(
                 result.triangles,
                 full_count,
@@ -222,8 +207,8 @@ fn run_dataset(dataset: Dataset) -> StreamBenchReport {
         rows.push(StreamBenchRow {
             batch_size,
             batches: REPS,
-            inc_mean_us: inc_us as f64 / REPS as f64,
-            full_mean_us: full_us as f64 / REPS as f64,
+            inc_mean_us: inc.mean_us(),
+            full_mean_us: full.mean_us(),
         });
     }
 
@@ -236,14 +221,18 @@ fn run_dataset(dataset: Dataset) -> StreamBenchReport {
     }
 }
 
-/// Runs the benchmark. `small` trims to EmailEucore (the CI smoke run).
-pub fn run(small: bool) -> Vec<StreamBenchReport> {
-    let suite = if small {
+/// The suite of a run: `small` trims to EmailEucore (the CI smoke run).
+fn suite(small: bool) -> Vec<Dataset> {
+    if small {
         vec![Dataset::EmailEucore]
     } else {
         default_suite()
-    };
-    suite.into_iter().map(run_dataset).collect()
+    }
+}
+
+/// Runs the incremental-vs-recompute pass.
+pub fn run(small: bool) -> Vec<StreamBenchReport> {
+    suite(small).into_iter().map(run_dataset).collect()
 }
 
 /// Runs one dataset through the analytics read-latency pass at the
@@ -262,77 +251,61 @@ fn run_analytics_dataset(dataset: Dataset) -> AnalyticsReadReport {
     // the per-batch read loop.
     let mut st = AnalyticsState::build(&base, &mut scratch);
 
-    let mut maintain_us = 0u64;
-    let mut kt_inc_us = 0u64;
-    let mut kt_full_us = 0u64;
-    let mut cc_inc_us = 0u64;
-    let mut cc_full_us = 0u64;
+    let [mut maintain, mut kt_inc, mut kt_full, mut cc_inc, mut cc_full]: [Samples; 5] =
+        Default::default();
     for _ in 0..ANALYTICS_REPS {
         let ops = draw_batch(&mut rng, n, &mut edges, &mut present, batch_size);
-
-        let t = Instant::now();
-        let (_, changes) = g.apply_batch_recorded(&ops);
-        st.apply_changes(&changes);
-        maintain_us += t.elapsed().as_micros() as u64;
+        // The change records are dropped outside the timed region.
+        let _changes = maintain.time(|| {
+            let (_, changes) = g.apply_batch_recorded(&ops);
+            st.apply_changes(&changes);
+            changes
+        });
 
         // Both read paths answer on the same materialised graph; the
         // materialisation itself is shared, untimed substrate.
         let m = g.materialize();
-
-        let t = Instant::now();
-        let kt_inc = tc_apps::ktruss_from_supports(&m, st.supports_in_edge_order(&m));
-        kt_inc_us += t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let cc_inc = tc_apps::global_from_counts(&m, st.local_counts());
-        cc_inc_us += t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let kt_full = tc_apps::ktruss_decomposition_with(&m, &mut scratch);
-        kt_full_us += t.elapsed().as_micros() as u64;
-
-        let t = Instant::now();
-        let cc_full = tc_apps::global_clustering_coefficient_with(&m, &mut scratch);
-        cc_full_us += t.elapsed().as_micros() as u64;
-
+        let truss =
+            kt_inc.time(|| tc_apps::ktruss_from_supports(&m, st.supports_in_edge_order(&m)));
+        let clustering = cc_inc.time(|| tc_apps::global_from_counts(&m, st.local_counts()));
+        let truss_full = kt_full.time(|| tc_apps::ktruss_decomposition_with(&m, &mut scratch));
+        let clustering_full =
+            cc_full.time(|| tc_apps::global_clustering_coefficient_with(&m, &mut scratch));
         assert_eq!(
-            kt_inc,
-            kt_full,
+            truss,
+            truss_full,
             "incremental and recomputed k-truss diverged on {}",
             dataset.name()
         );
         assert_eq!(
-            cc_inc.to_bits(),
-            cc_full.to_bits(),
+            clustering.to_bits(),
+            clustering_full.to_bits(),
             "incremental and recomputed clustering diverged on {}",
             dataset.name()
         );
     }
 
-    let mean = |total: u64| total as f64 / ANALYTICS_REPS as f64;
     AnalyticsReadReport {
         dataset: dataset.name().to_string(),
         edges: base.num_edges(),
         row: AnalyticsReadRow {
             batch_size,
             batches: ANALYTICS_REPS,
-            maintain_mean_us: mean(maintain_us),
-            ktruss_inc_mean_us: mean(kt_inc_us),
-            ktruss_full_mean_us: mean(kt_full_us),
-            clustering_inc_mean_us: mean(cc_inc_us),
-            clustering_full_mean_us: mean(cc_full_us),
+            maintain_mean_us: maintain.mean_us(),
+            ktruss_inc_mean_us: kt_inc.mean_us(),
+            ktruss_full_mean_us: kt_full.mean_us(),
+            clustering_inc_mean_us: cc_inc.mean_us(),
+            clustering_full_mean_us: cc_full.mean_us(),
         },
     }
 }
 
-/// Runs the analytics read-latency pass. `small` trims to EmailEucore.
+/// Runs the analytics read-latency pass.
 pub fn run_analytics(small: bool) -> Vec<AnalyticsReadReport> {
-    let suite = if small {
-        vec![Dataset::EmailEucore]
-    } else {
-        default_suite()
-    };
-    suite.into_iter().map(run_analytics_dataset).collect()
+    suite(small)
+        .into_iter()
+        .map(run_analytics_dataset)
+        .collect()
 }
 
 /// Renders the comparison as a text table.
@@ -399,80 +372,52 @@ pub fn render_analytics(reports: &[AnalyticsReadReport]) -> String {
     )
 }
 
-/// Machine-readable form including the analytics read-latency pass:
-/// [`to_json`] with an `"analytics"` array appended.
-pub fn to_json_with_analytics(
-    reports: &[StreamBenchReport],
-    analytics: &[AnalyticsReadReport],
-) -> String {
-    let mut out = to_json(reports);
-    let closing = "  ]\n}\n";
-    debug_assert!(out.ends_with(closing));
-    out.truncate(out.len() - closing.len());
-    out.push_str("  ],\n  \"analytics\": [\n");
-    for (i, r) in analytics.iter().enumerate() {
+/// The `BENCH_stream.json` record of both passes.
+pub fn to_json(reports: &[StreamBenchReport], analytics: &[AnalyticsReadReport]) -> Json {
+    let datasets = reports.iter().map(|r| {
+        let rows = r.rows.iter().map(|row| {
+            obj(vec![
+                ("batch_size", u(row.batch_size as u64)),
+                ("batches", u(row.batches as u64)),
+                ("inc_mean_us", Json::Float(row.inc_mean_us)),
+                ("full_mean_us", Json::Float(row.full_mean_us)),
+                ("speedup", Json::Float(row.speedup())),
+            ])
+        });
+        obj(vec![
+            ("dataset", s(&r.dataset)),
+            ("edges", u(r.edges as u64)),
+            ("triangles_start", u(r.triangles_start)),
+            ("triangles_end", u(r.triangles_end)),
+            ("rows", Json::Arr(rows.collect())),
+        ])
+    });
+    let analytics = analytics.iter().map(|r| {
         let row = &r.row;
-        out.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"edges\": {}, \"batch_size\": {}, \"batches\": {}, \
-             \"maintain_mean_us\": {:.2}, \"ktruss_inc_mean_us\": {:.2}, \
-             \"ktruss_full_mean_us\": {:.2}, \"ktruss_speedup\": {:.3}, \
-             \"clustering_inc_mean_us\": {:.2}, \"clustering_full_mean_us\": {:.2}, \
-             \"clustering_speedup\": {:.3}}}{}\n",
-            r.dataset,
-            r.edges,
-            row.batch_size,
-            row.batches,
-            row.maintain_mean_us,
-            row.ktruss_inc_mean_us,
-            row.ktruss_full_mean_us,
-            row.ktruss_speedup(),
-            row.clustering_inc_mean_us,
-            row.clustering_full_mean_us,
-            row.clustering_speedup(),
-            if i + 1 < analytics.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
-}
-
-/// Machine-readable form (hand-rolled JSON; the workspace has no serde).
-pub fn to_json(reports: &[StreamBenchReport]) -> String {
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let mut out = format!(
-        "{{\n  \"benchmark\": \"stream-incremental-vs-recompute\",\n  \"cores\": {cores},\n  \"datasets\": [\n"
-    );
-    for (i, r) in reports.iter().enumerate() {
-        let rows: Vec<String> = r
-            .rows
-            .iter()
-            .map(|row| {
-                format!(
-                    "      {{\"batch_size\": {}, \"batches\": {}, \"inc_mean_us\": {:.2}, \
-                     \"full_mean_us\": {:.2}, \"speedup\": {:.3}}}",
-                    row.batch_size,
-                    row.batches,
-                    row.inc_mean_us,
-                    row.full_mean_us,
-                    row.speedup()
-                )
-            })
-            .collect();
-        out.push_str(&format!(
-            "    {{\"dataset\": \"{}\", \"edges\": {}, \"triangles_start\": {}, \
-             \"triangles_end\": {}, \"rows\": [\n{}\n    ]}}{}\n",
-            r.dataset,
-            r.edges,
-            r.triangles_start,
-            r.triangles_end,
-            rows.join(",\n"),
-            if i + 1 < reports.len() { "," } else { "" },
-        ));
-    }
-    out.push_str("  ]\n}\n");
-    out
+        obj(vec![
+            ("dataset", s(&r.dataset)),
+            ("edges", u(r.edges as u64)),
+            ("batch_size", u(row.batch_size as u64)),
+            ("batches", u(row.batches as u64)),
+            ("maintain_mean_us", Json::Float(row.maintain_mean_us)),
+            ("ktruss_inc_mean_us", Json::Float(row.ktruss_inc_mean_us)),
+            ("ktruss_full_mean_us", Json::Float(row.ktruss_full_mean_us)),
+            ("ktruss_speedup", Json::Float(row.ktruss_speedup())),
+            (
+                "clustering_inc_mean_us",
+                Json::Float(row.clustering_inc_mean_us),
+            ),
+            (
+                "clustering_full_mean_us",
+                Json::Float(row.clustering_full_mean_us),
+            ),
+            ("clustering_speedup", Json::Float(row.clustering_speedup())),
+        ])
+    });
+    let mut bench = measure::header("stream-incremental-vs-recompute");
+    bench.push(("datasets", Json::Arr(datasets.collect())));
+    bench.push(("analytics", Json::Arr(analytics.collect())));
+    obj(bench)
 }
 
 #[cfg(test)]
@@ -492,53 +437,6 @@ mod tests {
     fn speedup_is_full_over_incremental() {
         assert_eq!(row(10.0, 250.0).speedup(), 25.0);
         assert_eq!(row(0.0, 250.0).speedup(), 0.0);
-    }
-
-    #[test]
-    fn json_shape_is_valid() {
-        let reports = vec![StreamBenchReport {
-            dataset: "email-Enron".into(),
-            edges: 77_954,
-            triangles_start: 1,
-            triangles_end: 2,
-            rows: vec![row(10.0, 250.0)],
-        }];
-        let json = to_json(&reports);
-        assert!(json.contains("\"speedup\": 25.000"));
-        assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert_eq!(json.matches("\"batch_size\"").count(), 1);
-    }
-
-    #[test]
-    fn analytics_json_appends_the_analytics_array() {
-        let reports = vec![StreamBenchReport {
-            dataset: "email-Enron".into(),
-            edges: 77_954,
-            triangles_start: 1,
-            triangles_end: 2,
-            rows: vec![row(10.0, 250.0)],
-        }];
-        let analytics = vec![AnalyticsReadReport {
-            dataset: "email-Enron".into(),
-            edges: 77_954,
-            row: AnalyticsReadRow {
-                batch_size: 779,
-                batches: ANALYTICS_REPS,
-                maintain_mean_us: 100.0,
-                ktruss_inc_mean_us: 50.0,
-                ktruss_full_mean_us: 200.0,
-                clustering_inc_mean_us: 2.0,
-                clustering_full_mean_us: 80.0,
-            },
-        }];
-        assert_eq!(analytics[0].row.ktruss_speedup(), 4.0);
-        assert_eq!(analytics[0].row.clustering_speedup(), 40.0);
-        let json = to_json_with_analytics(&reports, &analytics);
-        assert!(json.contains("\"analytics\": ["));
-        assert!(json.contains("\"clustering_speedup\": 40.000"));
-        assert!(json.trim_end().ends_with('}'));
-        // The plain report is still embedded unchanged.
-        assert!(json.contains("\"speedup\": 25.000"));
     }
 
     #[test]

@@ -66,6 +66,9 @@ cargo run --release -q -p tc-bench --bin experiments -- cpu-bench --small
 echo "==> cpu-bench smoke test under --features tc-algos/simd (AVX2 merge and gather probe inside the counting loop)"
 cargo run --release -q -p tc-bench --bin experiments --features tc-algos/simd -- cpu-bench --small
 
+echo "==> algorithms smoke test (every GPU kernel and CPU baseline on the small suite; the CPU rows are timed through tc_bench::measure)"
+cargo run --release -q -p tc-bench --bin experiments -- algorithms --small
+
 echo "==> tcbench unit tests (its own package, outside the workspace tier-1 covers)"
 cargo test -q --offline --manifest-path tcbench/Cargo.toml
 
