@@ -114,14 +114,7 @@ fn revision() -> String {
         return "unknown".into();
     };
     let bench_files = ":(top,exclude)BENCH_*.json";
-    match git(&[
-        "status",
-        "--porcelain",
-        "--untracked-files=no",
-        "--",
-        ":/",
-        bench_files,
-    ]) {
+    match git(&["status", "--porcelain", "-uno", "--", ":/", bench_files]) {
         Some(changed) if !changed.is_empty() => format!("{rev}-dirty"),
         _ => rev,
     }
@@ -206,15 +199,8 @@ mod tests {
 
     #[test]
     fn mean_keeps_fractions_of_a_microsecond() {
-        let samples = Samples(vec![
-            Duration::from_nanos(1_500),
-            Duration::from_nanos(2_500),
-        ]);
-        assert!(
-            (samples.mean_us() - 2.0).abs() < 1e-9,
-            "{}",
-            samples.mean_us()
-        );
+        let samples = Samples([1_500, 2_500].map(Duration::from_nanos).to_vec());
+        assert!((samples.mean_us() - 2.0).abs() < 1e-9);
         // What whole-µs accumulation read for the same two timings.
         let truncated: u64 = samples.0.iter().map(|d| d.as_micros() as u64).sum();
         assert_eq!(truncated as f64 / 2.0, 1.5);

@@ -437,6 +437,17 @@ mod tests {
     fn speedup_is_full_over_incremental() {
         assert_eq!(row(10.0, 250.0).speedup(), 25.0);
         assert_eq!(row(0.0, 250.0).speedup(), 0.0);
+        let analytics = AnalyticsReadRow {
+            batch_size: 779,
+            batches: ANALYTICS_REPS,
+            maintain_mean_us: 100.0,
+            ktruss_inc_mean_us: 50.0,
+            ktruss_full_mean_us: 200.0,
+            clustering_inc_mean_us: 2.0,
+            clustering_full_mean_us: 80.0,
+        };
+        assert_eq!(analytics.ktruss_speedup(), 4.0);
+        assert_eq!(analytics.clustering_speedup(), 40.0);
     }
 
     #[test]
