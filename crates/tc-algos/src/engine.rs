@@ -124,14 +124,14 @@ const WORD_MASK: u32 = 63;
 
 /// Reusable per-thread working memory: the packed membership bitmap
 /// behind the pinned probe, the slot marker behind [`edge_triangles`],
-/// two staging buffers for intersections whose operands only exist as
-/// iterators (layered adjacency in `tc-stream`), and a pair buffer
-/// (wedges in `tc-apps`' recommendation scoring).
+/// and a pair buffer (wedges in `tc-apps`' recommendation scoring). A
+/// pair intersection of two slices ([`intersect_count`]) reads none of
+/// it.
 ///
 /// Everything inside is a pure cache — dropping or swapping a `Scratch`
 /// never changes any count — and every buffer grows monotonically, so a
-/// long-lived scratch (thread-local or owned by a `DynamicGraph`) makes
-/// the counting loops allocation-free.
+/// long-lived scratch (thread-local or a caller's) makes the counting
+/// loops allocation-free.
 #[derive(Debug, Default)]
 pub struct Scratch {
     /// Packed membership bitmap; bit `v & 63` of `words[v >> 6]` is set
@@ -152,18 +152,7 @@ pub struct Scratch {
     /// `slots[w]` is `w`'s index in `N⁺(u)`; every other entry, and every
     /// entry at rest, is [`UNMARKED`].
     slots: Vec<u32>,
-    buf_a: Vec<VertexId>,
-    buf_b: Vec<VertexId>,
     pairs: Vec<(VertexId, VertexId)>,
-}
-
-/// Cloning a scratch yields a fresh empty one: the contents are a pure
-/// cache, and the clone path (e.g. `DynamicGraph: Clone`) must not pay
-/// for — or share — megabytes of bitmap.
-impl Clone for Scratch {
-    fn clone(&self) -> Self {
-        Scratch::default()
-    }
 }
 
 impl Scratch {
@@ -176,7 +165,6 @@ impl Scratch {
     pub fn approx_bytes(&self) -> usize {
         self.words.capacity() * std::mem::size_of::<u64>()
             + (self.touched.capacity() + self.slots.capacity()) * std::mem::size_of::<u32>()
-            + (self.buf_a.capacity() + self.buf_b.capacity()) * std::mem::size_of::<VertexId>()
             + self.pairs.capacity() * std::mem::size_of::<(VertexId, VertexId)>()
     }
 
@@ -267,23 +255,6 @@ impl Scratch {
     pub fn pairs(&mut self) -> &mut Vec<(VertexId, VertexId)> {
         self.pairs.clear();
         &mut self.pairs
-    }
-
-    /// Intersection count of two sorted iterators: stages both into the
-    /// reusable buffers, then runs [`intersect_count`] on the slices.
-    /// The staging path exists for operands without a contiguous
-    /// representation (layered adjacency); slice operands should call
-    /// [`intersect_count`] directly.
-    pub fn intersect_iters(
-        &mut self,
-        a: impl Iterator<Item = VertexId>,
-        b: impl Iterator<Item = VertexId>,
-    ) -> u64 {
-        self.buf_a.clear();
-        self.buf_b.clear();
-        self.buf_a.extend(a);
-        self.buf_b.extend(b);
-        intersect_count(&self.buf_a, &self.buf_b)
     }
 }
 
@@ -710,26 +681,6 @@ mod tests {
         let bytes = scratch.approx_bytes();
         scratch.mark(&[999]);
         assert_eq!(scratch.approx_bytes(), bytes, "mark within reserve is free");
-    }
-
-    #[test]
-    fn intersect_iters_stages_and_counts() {
-        let mut scratch = Scratch::new();
-        let a = [1u32, 3, 5, 7];
-        let b = [2u32, 3, 5, 8];
-        assert_eq!(
-            scratch.intersect_iters(a.iter().copied(), b.iter().copied()),
-            2
-        );
-        assert!(scratch.approx_bytes() > 0);
-    }
-
-    #[test]
-    fn clone_is_fresh_and_cheap() {
-        let mut scratch = Scratch::new();
-        scratch.mark(&[1, 2, 3]);
-        let cloned = scratch.clone();
-        assert_eq!(cloned.approx_bytes(), 0);
     }
 
     #[test]

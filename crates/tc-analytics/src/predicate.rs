@@ -10,7 +10,7 @@
 //! notification sequences.
 
 use crate::state::AnalyticsState;
-use tc_graph::VertexId;
+use tc_graph::{Adjacency, VertexId};
 use tc_stream::DynamicGraph;
 
 /// A condition on the analytics state, checked after every applied

@@ -41,8 +41,9 @@ pub fn recommend_for<G: Adjacency + ?Sized>(
 /// neighbour of `source` and `c` a neighbour of `w` outside
 /// `{source} ∪ N(source)` is collected, the pairs are sorted, and each
 /// run of equal `c` is one candidate whose common neighbours are the
-/// run's `w`s in ascending order. Only neighbour lists and degrees are
-/// read, so a streamed graph is scored in place, bit for bit as its
+/// run's `w`s in ascending order. The source's row is read once and
+/// every candidate is looked up in it. Only neighbour lists and degrees
+/// are read, so a streamed graph is scored in place, bit for bit as its
 /// materialised CSR would be.
 pub fn recommend_for_with<G: Adjacency + ?Sized>(
     g: &G,
@@ -50,17 +51,19 @@ pub fn recommend_for_with<G: Adjacency + ?Sized>(
     k: usize,
     scratch: &mut Scratch,
 ) -> Vec<RecommendScore> {
+    let row = g.neighbors(source);
     let wedges = scratch.pairs();
-    for w in g.neighbors(source) {
+    for &w in row {
         wedges.extend(
             g.neighbors(w)
-                .filter(|&c| c != source && !g.has_edge(source, c))
-                .map(|c| (c, w)),
+                .iter()
+                .filter(|&&c| c != source && row.binary_search(&c).is_err())
+                .map(|&c| (c, w)),
         );
     }
     wedges.sort_unstable();
 
-    let source_degree = g.degree(source);
+    let source_degree = row.len();
     let mut scored: Vec<RecommendScore> = wedges
         .chunk_by(|a, b| a.0 == b.0)
         .map(|run| {

@@ -137,19 +137,17 @@ impl GraphBuilder {
 }
 
 /// Assembles a [`CsrGraph`] directly from per-vertex sorted neighbour
-/// lists, visiting each list twice: once for its length (offsets), once
-/// for its elements. The builder's counterpart for sources whose rows are
-/// already sorted and cheap to replay — `tc-stream` compaction streams
-/// its layered (base ∪ adds) \ dels rows through this instead of
-/// re-sorting.
+/// lists, reading each list twice: once for its length (offsets), once
+/// to copy it. The builder's counterpart for sources whose rows are
+/// already sorted slices — `tc-stream` compaction copies its current
+/// rows through this instead of re-sorting.
 ///
 /// Each list must be strictly ascending and symmetric (`v ∈ list(u)` ⇔
 /// `u ∈ list(v)`); [`CsrGraph::from_parts`] enforces the per-row
 /// invariants in debug builds.
-pub fn csr_from_sorted_lists<I, F>(num_vertices: usize, mut lists: F) -> CsrGraph
+pub fn csr_from_sorted_lists<'a, F>(num_vertices: usize, mut lists: F) -> CsrGraph
 where
-    F: FnMut(VertexId) -> I,
-    I: Iterator<Item = VertexId> + ExactSizeIterator,
+    F: FnMut(VertexId) -> &'a [VertexId],
 {
     let mut offsets = Vec::with_capacity(num_vertices + 1);
     offsets.push(0usize);
@@ -160,9 +158,8 @@ where
     }
     let mut neighbors = Vec::with_capacity(total);
     for u in 0..num_vertices {
-        neighbors.extend(lists(u as VertexId));
+        neighbors.extend_from_slice(lists(u as VertexId));
     }
-    debug_assert_eq!(neighbors.len(), total, "list lengths must be exact");
     CsrGraph::from_parts(offsets, neighbors)
 }
 
@@ -292,7 +289,7 @@ mod tests {
     #[test]
     fn csr_from_sorted_lists_round_trips() {
         let g = GraphBuilder::from_edges(5, &[(4, 2), (2, 0), (2, 3), (1, 2), (0, 1)]).build();
-        let rebuilt = csr_from_sorted_lists(g.num_vertices(), |u| g.neighbors(u).iter().copied());
+        let rebuilt = csr_from_sorted_lists(g.num_vertices(), |u| g.neighbors(u));
         assert_eq!(rebuilt.num_edges(), g.num_edges());
         for u in g.vertices() {
             assert_eq!(rebuilt.neighbors(u), g.neighbors(u));

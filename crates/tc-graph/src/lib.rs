@@ -6,8 +6,8 @@
 //! - [`CsrGraph`]: an undirected simple graph in compressed sparse row form
 //!   with sorted adjacency lists — the canonical in-memory representation
 //!   used by every triangle-counting algorithm in the workspace.
-//! - [`Adjacency`]: read access through sorted neighbour lists and
-//!   degrees, served by a [`CsrGraph`] and by `tc-stream`'s dynamic graph.
+//! - [`Adjacency`]: read access through sorted neighbour slices, served
+//!   by a [`CsrGraph`] and by `tc-stream`'s dynamic graph.
 //! - [`DirectedGraph`]: an *oriented* graph produced by an edge-directing
 //!   scheme; out-neighbour lists are sorted so binary search works directly.
 //! - [`GraphBuilder`]: ingestion from raw edge lists with deduplication and
@@ -18,9 +18,6 @@
 //!   power-law configuration model, Erdős–Rényi, road-like lattices,
 //!   preferential attachment, Watts–Strogatz).
 //! - [`io`]: plain-text edge-list reading and writing.
-//! - [`layered`]: sorted neighbour iteration over a CSR row with an
-//!   insert/delete overlay — the primitive the dynamic-graph subsystem
-//!   (`tc-stream`) counts triangles against between compactions.
 //! - [`stats`]: degree statistics used by the paper's analytic models.
 //!
 //! All generators take explicit seeds and are fully deterministic, so every
@@ -34,7 +31,6 @@ pub mod csr;
 pub mod directed;
 pub mod generators;
 pub mod io;
-pub mod layered;
 pub mod orientation;
 pub mod permutation;
 pub mod stats;
@@ -43,7 +39,6 @@ pub use adjacency::Adjacency;
 pub use builder::{csr_from_sorted_lists, GraphBuilder};
 pub use csr::CsrGraph;
 pub use directed::DirectedGraph;
-pub use layered::LayeredNeighbors;
 pub use orientation::{degree_rank, orient_by_rank, orient_relabelled};
 pub use permutation::Permutation;
 

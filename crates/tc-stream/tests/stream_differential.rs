@@ -94,6 +94,42 @@ proptest! {
         }
     }
 
+    /// Every read of a live stream and of its restored snapshot, after
+    /// every batch: each `neighbors(u)` of both equals the materialised
+    /// CSR's row, and `restore(snapshot())` gives back the same snapshot
+    /// and byte estimate. Each batch first undoes half of the one before
+    /// it, so re-inserts cancel deletes of base edges and deletes cancel
+    /// inserts, dropping rows; budgets from 2 to 40 make some streams
+    /// fold, and others never.
+    #[test]
+    fn rows_and_restored_snapshots_match_the_materialised_graph(
+        (n, seed, stream) in arb_stream(24, 8, 30),
+        budget in 2usize..40,
+    ) {
+        let base = erdos_renyi(n as usize, (n as usize) * 2, seed);
+        let mut g = DynamicGraph::new(base).policy(CompactionPolicy::with_budget(budget));
+        let mut undo: Vec<(u32, u32, bool)> = Vec::new();
+        for (i, raw) in stream.iter().enumerate() {
+            let mut ops = to_ops(&undo);
+            ops.extend(to_ops(raw));
+            g.apply_batch(&ops);
+            undo = raw[..raw.len().div_ceil(2)]
+                .iter()
+                .map(|&(u, v, ins)| (u, v, !ins))
+                .collect();
+
+            let m = g.materialize();
+            let snap = g.snapshot();
+            let restored = DynamicGraph::restore(snap.clone()).expect("restore");
+            for u in m.vertices() {
+                prop_assert_eq!(g.neighbors(u), m.neighbors(u), "row {} at batch {}", u, i);
+                prop_assert_eq!(restored.neighbors(u), m.neighbors(u), "restored row {} at batch {}", u, i);
+            }
+            prop_assert_eq!(restored.snapshot(), snap, "snapshot at batch {}", i);
+            prop_assert_eq!(restored.approx_bytes(), g.approx_bytes(), "bytes at batch {}", i);
+        }
+    }
+
     /// Same property on skewed power-law bases (the paper's workload
     /// shape), checking only at stream end to afford bigger graphs.
     #[test]
