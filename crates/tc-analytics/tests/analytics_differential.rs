@@ -15,9 +15,9 @@ use rand::{Rng, SeedableRng};
 use tc_algos::engine::Scratch;
 use tc_analytics::AnalyticsState;
 use tc_apps::{
-    clustering_coefficients_with, coefficients_from_counts, edge_supports_with,
-    global_clustering_coefficient_with, global_from_counts, ktruss_decomposition_with,
-    ktruss_from_supports, recommend_for_with, triangles_per_vertex_with,
+    clustering_coefficients_with, coefficients_from_counts, global_clustering_coefficient_with,
+    global_from_counts, ktruss_decomposition_with, ktruss_from_supports, recommend_for_with,
+    supports_in_edge_order_with, triangles_per_vertex_with,
 };
 use tc_datasets::Dataset;
 use tc_graph::generators::{erdos_renyi, power_law_configuration};
@@ -61,15 +61,13 @@ fn to_ops(raw: &[(u32, u32, bool)]) -> Vec<EdgeOp> {
 /// recomputes.
 fn assert_state_matches(state: &AnalyticsState, m: &CsrGraph, scratch: &mut Scratch) {
     // Per-edge supports.
-    let fresh = edge_supports_with(m, scratch);
+    let fresh = supports_in_edge_order_with(m, scratch);
     assert_eq!(state.edge_count(), fresh.len(), "edge count diverged");
-    for es in &fresh {
+    for ((u, v), support) in m.edges().zip(fresh) {
         assert_eq!(
-            state.support(es.u, es.v),
-            Some(es.support),
-            "support of ({}, {}) diverged",
-            es.u,
-            es.v
+            state.support(u, v),
+            Some(support),
+            "support of ({u}, {v}) diverged"
         );
     }
     // Per-vertex local counts.

@@ -13,7 +13,7 @@ use proptest::prelude::*;
 use tc_algos::cpu;
 use tc_algos::engine::Scratch;
 use tc_analytics::AnalyticsState;
-use tc_apps::{edge_supports, edge_supports_with, triangles_per_vertex, triangles_per_vertex_with};
+use tc_apps::{supports_in_edge_order_with, triangles_per_vertex, triangles_per_vertex_with};
 use tc_graph::generators::{erdos_renyi, power_law_configuration, rmat, RmatParams};
 use tc_graph::{CsrGraph, GraphBuilder, VertexId};
 
@@ -72,14 +72,16 @@ fn check(g: &CsrGraph, warm: &mut Scratch) {
         .zip(&supports)
         .map(|((u, v), &s)| (u, v, s))
         .collect();
-    for (name, got) in [
-        ("edge_supports", edge_supports(g)),
-        ("edge_supports_with(warm)", edge_supports_with(g, warm)),
-    ] {
-        let got: Vec<(VertexId, VertexId, u32)> =
-            got.iter().map(|e| (e.u, e.v, e.support)).collect();
-        assert_eq!(got, expect, "{name} diverged from the reference");
-    }
+    assert_eq!(
+        supports_in_edge_order_with(g, &mut Scratch::new()),
+        supports,
+        "supports_in_edge_order_with diverged from the reference"
+    );
+    assert_eq!(
+        supports_in_edge_order_with(g, warm),
+        supports,
+        "supports_in_edge_order_with(warm) diverged from the reference"
+    );
 
     assert_eq!(triangles_per_vertex(g), per_vertex, "triangles_per_vertex");
     assert_eq!(

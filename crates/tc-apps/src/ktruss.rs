@@ -111,11 +111,6 @@ pub fn ktruss_from_supports(
     edges.into_iter().zip(trussness).collect()
 }
 
-/// The maximum trussness over all edges (0 for edgeless graphs).
-pub fn max_truss(g: &CsrGraph) -> u32 {
-    ktruss_decomposition(g).values().copied().max().unwrap_or(0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -225,8 +220,8 @@ mod tests {
         let g =
             GraphBuilder::from_edges(4, &[(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]).build();
         let t = ktruss_decomposition(&g);
+        assert_eq!(t.len(), 6);
         assert!(t.values().all(|&k| k == 4), "{t:?}");
-        assert_eq!(max_truss(&g), 4);
     }
 
     #[test]
@@ -306,11 +301,11 @@ mod tests {
         // closes 2 triangles, distance-2 edges close 1; the 3-truss keeps
         // everything, the 4-truss... just check it's >= 3.
         let g = watts_strogatz(24, 2, 0.0, 0);
-        assert!(max_truss(&g) >= 3);
+        assert!(ktruss_decomposition(&g).values().max() >= Some(&3));
     }
 
     #[test]
     fn empty_graph() {
-        assert_eq!(max_truss(&CsrGraph::empty(5)), 0);
+        assert!(ktruss_decomposition(&CsrGraph::empty(5)).is_empty());
     }
 }

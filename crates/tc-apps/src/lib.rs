@@ -8,11 +8,11 @@
 //! pipeline, not just the counting itself.
 //!
 //! All three start from the same primitives — per-edge triangle
-//! *support* ([`support::edge_supports`]) and per-vertex triangle counts
-//! ([`support::triangles_per_vertex`]). Both come exactly from one pass
-//! over the graph's (degree, id) orientation, the edge-directing idea
-//! the paper is about: each triangle is found once and credited to its
-//! three edges and three corners.
+//! *support* ([`support::supports_in_edge_order_with`]) and per-vertex
+//! triangle counts ([`support::triangles_per_vertex`]). Both come
+//! exactly from one pass over the graph's (degree, id) orientation, the
+//! edge-directing idea the paper is about: each triangle is found once
+//! and credited to its three edges and three corners.
 
 pub mod clustering;
 pub mod ktruss;
@@ -24,10 +24,6 @@ pub use clustering::{
     global_clustering_coefficient, global_clustering_coefficient_with, global_from_counts,
     local_coefficient,
 };
-pub use ktruss::{
-    ktruss_decomposition, ktruss_decomposition_with, ktruss_from_supports, max_truss,
-};
+pub use ktruss::{ktruss_decomposition, ktruss_decomposition_with, ktruss_from_supports};
 pub use recommend::{recommend_for, recommend_for_with, RecommendScore};
-pub use support::{
-    edge_supports, edge_supports_with, triangles_per_vertex, triangles_per_vertex_with, EdgeSupport,
-};
+pub use support::{supports_in_edge_order_with, triangles_per_vertex, triangles_per_vertex_with};

@@ -9,41 +9,13 @@
 //! plain variants borrow the thread-local scratch.
 
 use tc_algos::engine::{self, with_thread_scratch, Scratch};
-use tc_graph::{degree_rank, orient_by_rank, CsrGraph, DirectedGraph, VertexId};
+use tc_graph::{degree_rank, orient_by_rank, CsrGraph, DirectedGraph};
 
-/// One undirected edge with its triangle support.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EdgeSupport {
-    /// Smaller endpoint.
-    pub u: VertexId,
-    /// Larger endpoint.
-    pub v: VertexId,
-    /// Number of triangles containing the edge
-    /// (`|N(u) ∩ N(v)|`).
-    pub support: u32,
-}
-
-/// Computes the support of every edge, in [`CsrGraph::edges`] order
-/// (each edge listed once, `u < v`).
-///
-/// The per-edge outputs sum to three times the triangle count (each
-/// triangle has three edges), which the tests pin against the exact
-/// counters.
-pub fn edge_supports(g: &CsrGraph) -> Vec<EdgeSupport> {
-    with_thread_scratch(|scratch| edge_supports_with(g, scratch))
-}
-
-/// [`edge_supports`] against a caller-owned scratch.
-pub fn edge_supports_with(g: &CsrGraph, scratch: &mut Scratch) -> Vec<EdgeSupport> {
-    g.edges()
-        .zip(supports_in_edge_order_with(g, scratch))
-        .map(|((u, v), support)| EdgeSupport { u, v, support })
-        .collect()
-}
-
-/// The supports alone, in [`CsrGraph::edges`] order — the input of
-/// [`crate::ktruss_from_supports`].
-pub(crate) fn supports_in_edge_order_with(g: &CsrGraph, scratch: &mut Scratch) -> Vec<u32> {
+/// The triangle support of every edge (`|N(u) ∩ N(v)|`), in
+/// [`CsrGraph::edges`] order: the input of [`crate::ktruss_from_supports`].
+/// The supports sum to three times the triangle count, since each
+/// triangle has three edges.
+pub fn supports_in_edge_order_with(g: &CsrGraph, scratch: &mut Scratch) -> Vec<u32> {
     let oriented = orient_by_rank(g, &degree_rank(g));
     let (per_slot, _) = engine::edge_triangles(&oriented, scratch);
     in_edge_order(g, &oriented, &per_slot)
@@ -103,16 +75,18 @@ mod tests {
 
     #[test]
     fn k4_every_edge_supports_two_triangles() {
-        let sup = edge_supports(&k4());
-        assert_eq!(sup.len(), 6);
-        assert!(sup.iter().all(|e| e.support == 2));
+        let sup = supports_in_edge_order_with(&k4(), &mut Scratch::new());
+        assert_eq!(sup, vec![2; 6]);
     }
 
     #[test]
     fn supports_sum_to_three_times_triangles() {
+        let mut scratch = Scratch::new();
         for seed in 0..4u64 {
             let g = erdos_renyi(100, 400, seed);
-            let total: u64 = edge_supports(&g).iter().map(|e| e.support as u64).sum();
+            let supports = supports_in_edge_order_with(&g, &mut scratch);
+            assert_eq!(supports.len(), g.num_edges(), "seed {seed}");
+            let total: u64 = supports.iter().map(|&s| u64::from(s)).sum();
             assert_eq!(total, 3 * cpu::node_iterator(&g), "seed {seed}");
         }
     }
@@ -134,16 +108,16 @@ mod tests {
     fn shared_scratch_across_both_primitives_is_consistent() {
         let g = power_law_configuration(300, 2.2, 7.0, 5);
         let mut scratch = Scratch::new();
-        let sup: u64 = edge_supports_with(&g, &mut scratch)
+        let sup: u64 = supports_in_edge_order_with(&g, &mut scratch)
             .iter()
-            .map(|e| e.support as u64)
+            .map(|&s| u64::from(s))
             .sum();
         let per_vertex: u64 = triangles_per_vertex_with(&g, &mut scratch).iter().sum();
         assert_eq!(sup, per_vertex);
         // Reusing the now-warm scratch must not change anything.
-        let sup2: u64 = edge_supports_with(&g, &mut scratch)
+        let sup2: u64 = supports_in_edge_order_with(&g, &mut scratch)
             .iter()
-            .map(|e| e.support as u64)
+            .map(|&s| u64::from(s))
             .sum();
         assert_eq!(sup, sup2);
     }
@@ -151,7 +125,10 @@ mod tests {
     #[test]
     fn triangle_free_graph_has_zero_support() {
         let g = GraphBuilder::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).build();
-        assert!(edge_supports(&g).iter().all(|e| e.support == 0));
+        let mut scratch = Scratch::new();
+        assert!(supports_in_edge_order_with(&g, &mut scratch)
+            .iter()
+            .all(|&s| s == 0));
         assert!(triangles_per_vertex(&g).iter().all(|&c| c == 0));
     }
 }
