@@ -41,7 +41,7 @@ pub mod wal;
 pub use codec::{EntryRecord, PrepKey, StreamRecord, WalRecord};
 pub use recovery::{Recovered, RecoveredStream, RecoveryReport};
 pub use snapshot::SnapshotStats;
-pub use store::{PersistConfig, PersistStats, Store};
+pub use store::{PersistConfig, PersistStats, Store, SNAPSHOT_EVERY_BATCHES};
 pub use wal::WalStats;
 
 use tc_graph::binary_io::BinError;

@@ -33,25 +33,23 @@ use tc_core::PreprocessResult;
 use tc_datasets::Dataset;
 use tc_stream::EdgeOp;
 
+/// WAL segments rotate at this size.
+const SEGMENT_BYTES: u64 = 1 << 20;
+
+/// A stream is snapshotted after this many logged batches.
+pub const SNAPSHOT_EVERY_BATCHES: u64 = 32;
+
 /// Store configuration.
 #[derive(Clone, Debug)]
 pub struct PersistConfig {
     /// Root directory (`<dir>/snap` and `<dir>/wal` are created inside).
     pub dir: PathBuf,
-    /// Rotate WAL segments at this size.
-    pub segment_bytes: u64,
-    /// Auto-snapshot a stream after this many logged batches.
-    pub snapshot_every_batches: u64,
 }
 
 impl PersistConfig {
-    /// Defaults: 1 MiB segments, snapshot every 32 batches.
+    /// A store rooted at `dir`.
     pub fn new(dir: impl Into<PathBuf>) -> Self {
-        Self {
-            dir: dir.into(),
-            segment_bytes: 1 << 20,
-            snapshot_every_batches: 32,
-        }
+        Self { dir: dir.into() }
     }
 }
 
@@ -168,7 +166,6 @@ impl Shared {
 /// take `&self`. Dropping the last handle shuts the background writer
 /// down after draining its queue.
 pub struct Store {
-    cfg: PersistConfig,
     shared: Arc<Shared>,
     worker: Option<JoinHandle<()>>,
 }
@@ -181,7 +178,7 @@ impl Store {
     pub fn open(cfg: PersistConfig) -> Result<(Self, Recovered), PersistError> {
         std::fs::create_dir_all(&cfg.dir)?;
         let snap = SnapshotDir::open(&cfg.dir)?;
-        let (mut wal, scan) = Wal::open(&cfg.dir, cfg.segment_bytes)?;
+        let (mut wal, scan) = Wal::open(&cfg.dir, SEGMENT_BYTES)?;
         let load = snap.load_all()?;
 
         let recovered = recover(
@@ -232,17 +229,11 @@ impl Store {
 
         Ok((
             Self {
-                cfg,
                 shared,
                 worker: Some(worker),
             },
             recovered,
         ))
-    }
-
-    /// The configuration this store was opened with.
-    pub fn config(&self) -> &PersistConfig {
-        &self.cfg
     }
 
     /// Durably logs one update batch **before** the caller applies it:
@@ -292,11 +283,6 @@ impl Store {
         while !q.0.is_empty() || q.1 {
             q = self.shared.cond.wait(q).expect("persist queue");
         }
-    }
-
-    /// The auto-snapshot cadence (batches between stream snapshots).
-    pub fn snapshot_every_batches(&self) -> u64 {
-        self.cfg.snapshot_every_batches.max(1)
     }
 
     /// Point-in-time persistence figures.

@@ -770,7 +770,7 @@ impl GraphRegistry {
         if let (Some(seq), Some(p)) = (seq, &self.persist) {
             ds.applied_seq = seq;
             ds.batches_since_snapshot += 1;
-            if ds.batches_since_snapshot >= p.snapshot_every_batches() {
+            if ds.batches_since_snapshot >= tc_persist::SNAPSHOT_EVERY_BATCHES {
                 ds.save_stream(p);
             }
         }

@@ -102,9 +102,6 @@ pub struct ServerConfig {
     /// a different shard count and recovery still routes every dataset
     /// to its new owner).
     pub persist_dir: Option<std::path::PathBuf>,
-    /// Auto-snapshot a stream after this many logged update batches
-    /// (only meaningful with `persist_dir`).
-    pub snapshot_every_batches: u64,
 }
 
 impl Default for ServerConfig {
@@ -120,7 +117,6 @@ impl Default for ServerConfig {
             registry_budget: 256 << 20,
             gpu: GpuConfig::titan_xp_like(),
             persist_dir: None,
-            snapshot_every_batches: 32,
         }
     }
 }
@@ -485,10 +481,10 @@ pub fn spawn(config: ServerConfig) -> std::io::Result<ServerHandle> {
     // opened once (shard-count-independent on-disk layout) and shared.
     let (store, recovered) = match &config.persist_dir {
         Some(dir) => {
-            let mut pcfg = tc_persist::PersistConfig::new(dir);
-            pcfg.snapshot_every_batches = config.snapshot_every_batches;
-            let (store, recovered) = tc_persist::Store::open(pcfg)
-                .map_err(|e| std::io::Error::other(format!("persistence recovery failed: {e}")))?;
+            let (store, recovered) = tc_persist::Store::open(tc_persist::PersistConfig::new(dir))
+                .map_err(|e| {
+                std::io::Error::other(format!("persistence recovery failed: {e}"))
+            })?;
             (Some(Arc::new(store)), Some(recovered))
         }
         None => (None, None),
