@@ -42,6 +42,9 @@ echo "==> tier-1 again under --features simd (SSE2/AVX2 block merge and AVX2 gat
 cargo build --release -p tc-algos --features simd
 cargo test -q -p tc-algos --features simd
 
+echo "==> tc-stream and tc-analytics tests under --features tc-algos/simd (every stream update intersects two row slices through the adaptive engine's SIMD tiers)"
+cargo test -q -p tc-stream -p tc-analytics --features tc-algos/simd
+
 echo "==> sharded service e2e under SIMD kernels (default build runs in tier-1)"
 cargo test -q -p tc-service --test shard_e2e --features simd
 
