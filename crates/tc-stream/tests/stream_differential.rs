@@ -127,6 +127,7 @@ proptest! {
             }
             prop_assert_eq!(restored.snapshot(), snap, "snapshot at batch {}", i);
             prop_assert_eq!(restored.approx_bytes(), g.approx_bytes(), "bytes at batch {}", i);
+            prop_assert_eq!(restored.num_edges(), restored.materialize().num_edges(), "edges at batch {}", i);
         }
     }
 
