@@ -63,23 +63,19 @@ pub fn rmat(scale: u32, edge_factor: usize, params: RmatParams, seed: u64) -> Cs
     b.build()
 }
 
+/// One edge, one quadrant per level: `r < a` is top-left (no bit),
+/// `[a, a+b)` top-right (`v`), `[a+b, a+b+c)` bottom-left (`u`), and the
+/// rest bottom-right (both). The bits are set from the comparisons with
+/// non-short-circuit `&` and `|`, so the draw has no data-dependent
+/// branch.
 fn rmat_edge(scale: u32, p: RmatParams, rng: &mut StdRng) -> (VertexId, VertexId) {
+    let (ab, abc) = (p.a + p.b, p.a + p.b + p.c);
     let mut u = 0 as VertexId;
     let mut v = 0 as VertexId;
     for _ in 0..scale {
-        u <<= 1;
-        v <<= 1;
         let r: f64 = rng.gen();
-        if r < p.a {
-            // top-left: no bits set
-        } else if r < p.a + p.b {
-            v |= 1;
-        } else if r < p.a + p.b + p.c {
-            u |= 1;
-        } else {
-            u |= 1;
-            v |= 1;
-        }
+        u = (u << 1) | (r >= ab) as VertexId;
+        v = (v << 1) | (((r >= p.a) & (r < ab)) | (r >= abc)) as VertexId;
     }
     (u, v)
 }
