@@ -2,32 +2,29 @@
 //!
 //! `tc-stream` keeps the *global* triangle count exact under edge
 //! streams; this crate extends the same incremental discipline to the
-//! per-edge and per-vertex quantities the paper's motivating
-//! applications consume (Section 1: k-truss, clustering coefficients,
-//! link recommendation). An [`AnalyticsState`] maintains
-//!
-//! - **per-edge support** `|N(u) ∩ N(v)|` for every present edge, and
-//! - **per-vertex local triangle counts**,
-//!
-//! exactly, by replaying the [`tc_stream::EdgeChange`] records emitted
-//! by [`DynamicGraph::apply_batch_recorded`](tc_stream::DynamicGraph::apply_batch_recorded):
+//! per-vertex quantities behind the clustering coefficients, one of the
+//! paper's motivating applications (Section 1). An [`AnalyticsState`]
+//! maintains every vertex's **local triangle count** exactly, by
+//! replaying the [`tc_stream::EdgeChange`] records emitted by
+//! [`DynamicGraph::apply_batch_recorded`](tc_stream::DynamicGraph::apply_batch_recorded):
 //! each committed change carries the wedge set it closed or opened, so
 //! maintenance is `O(triangles touched)` bookkeeping with no graph
-//! access at all. Downstream reads then skip their dominant cost:
+//! access at all. Reads on a stream then need:
 //!
-//! - **k-truss** becomes the peel alone
-//!   ([`tc_apps::ktruss_from_supports`]) — the support pass is already
-//!   maintained;
-//! - **clustering coefficients** become pure arithmetic
-//!   ([`tc_apps::coefficients_from_counts`]) over the maintained counts;
-//! - **recommendation** needs no maintained state: it reads the stream's
-//!   neighbour lists and degrees in place ([`tc_graph::Adjacency`]).
+//! - **clustering coefficients**: pure arithmetic
+//!   ([`tc_apps::coefficients_from_counts`]) over the maintained counts
+//!   and the stream's degrees;
+//! - **recommendation**: no maintained state; it reads the stream's
+//!   neighbour lists and degrees in place ([`tc_graph::Adjacency`]);
+//! - **edge support** `|N(u) ∩ N(v)|`: one intersection of the two
+//!   rows when a [`Predicate::SupportBelow`] is observed. No per-edge
+//!   state is kept, and k-truss recomputes its supports on the
+//!   materialised graph, as it does on a static one.
 //!
-//! Both read paths are bit-identical to fresh recomputes on the
-//! materialised graph — the peel is deterministic in edge order and the
-//! coefficient arithmetic sees identical integer inputs — which the
-//! differential suite (`tests/analytics_differential.rs`) pins after
-//! every random batch.
+//! The clustering read path is bit-identical to a fresh recompute on the
+//! materialised graph (the coefficient arithmetic sees identical integer
+//! inputs), which the differential suite
+//! (`tests/analytics_differential.rs`) pins after every random batch.
 //!
 //! The second half of the crate is the *subscription model*:
 //! [`Predicate`]s ("support of `(u,v)` dropped below `k`", "clustering
@@ -37,7 +34,7 @@
 //! connections as push subscriptions.
 //!
 //! ```
-//! use tc_analytics::AnalyticsState;
+//! use tc_analytics::{AnalyticsState, Observed, Predicate};
 //! use tc_algos::engine::Scratch;
 //! use tc_graph::GraphBuilder;
 //! use tc_stream::{DynamicGraph, EdgeOp};
@@ -50,8 +47,12 @@
 //! let (_, changes) = dg.apply_batch_recorded(&[EdgeOp::Insert(1, 3), EdgeOp::Insert(2, 3)]);
 //! state.apply_changes(&changes);
 //! assert_eq!(state.triangles(), 2);
-//! assert_eq!(state.support(1, 2), Some(2)); // in 0-1-2 and 1-2-3
 //! assert_eq!(state.local_count(3), 1);
+//! assert_eq!(state.local_counts(), &[1, 2, 2, 1]);
+//!
+//! // Edge 1-2 sits in 0-1-2 and 1-2-3.
+//! let watch = Predicate::SupportBelow { u: 1, v: 2, k: 3 };
+//! assert_eq!(watch.observe(&state, &dg), Observed::Support(Some(2)));
 //! ```
 
 pub mod predicate;

@@ -10,6 +10,7 @@
 //! notification sequences.
 
 use crate::state::AnalyticsState;
+use tc_algos::engine;
 use tc_graph::{Adjacency, VertexId};
 use tc_stream::DynamicGraph;
 
@@ -96,10 +97,17 @@ pub enum Notification {
 
 impl Predicate {
     /// Captures the value this predicate watches from the maintained
-    /// state (and the live graph, for degrees).
+    /// state and the live graph: an edge's support is the common
+    /// neighbours of its endpoints' rows, and a clustering coefficient
+    /// takes the vertex's degree from its row.
     pub fn observe(&self, state: &AnalyticsState, g: &DynamicGraph) -> Observed {
         match *self {
-            Predicate::SupportBelow { u, v, .. } => Observed::Support(state.support(u, v)),
+            Predicate::SupportBelow { u, v, .. } => {
+                let present = (u.max(v) as usize) < g.num_vertices() && g.has_edge(u, v);
+                Observed::Support(
+                    present.then(|| engine::intersect_count(g.neighbors(u), g.neighbors(v)) as u32),
+                )
+            }
             // The arithmetic every clustering answer folds, so an
             // observed value is bit-identical to a fresh recompute.
             Predicate::ClusteringDelta { vertex, .. } => Observed::Clustering(

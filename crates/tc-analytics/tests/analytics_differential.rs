@@ -1,23 +1,22 @@
 //! Differential suite: incrementally maintained analytics vs fresh
 //! recomputes, under random insert/delete streams.
 //!
-//! The acceptance property of the tc-analytics subsystem (ISSUE 8):
-//! after **every** random batch — inserts, deletes, flip-flops,
-//! rejects, and any compaction schedule including the background
-//! worker — the maintained per-edge supports and per-vertex local
-//! counts must equal a fresh `tc-apps` recompute on the materialised
-//! graph, and the k-truss / clustering read paths fed from the
-//! maintained state must be **bit-identical** to the full recomputes.
+//! The acceptance property of the tc-analytics subsystem: after
+//! **every** random batch — inserts, deletes, flip-flops, rejects, and
+//! any compaction schedule — the maintained per-vertex local counts
+//! must equal a fresh `tc-apps` recompute on the materialised graph,
+//! the clustering read paths fed from them must be **bit-identical** to
+//! the full recomputes, and a `SupportBelow` observation of a present
+//! edge must equal its recomputed support (`None` for an absent one).
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use tc_algos::engine::Scratch;
-use tc_analytics::AnalyticsState;
+use tc_analytics::{AnalyticsState, Observed, Predicate};
 use tc_apps::{
     clustering_coefficients_with, coefficients_from_counts, global_clustering_coefficient_with,
-    global_from_counts, ktruss_decomposition_with, ktruss_from_supports, recommend_for_with,
-    supports_in_edge_order_with, triangles_per_vertex_with,
+    global_from_counts, recommend_for_with, supports_in_edge_order_with, triangles_per_vertex_with,
 };
 use tc_datasets::Dataset;
 use tc_graph::generators::{erdos_renyi, power_law_configuration};
@@ -56,29 +55,47 @@ fn to_ops(raw: &[(u32, u32, bool)]) -> Vec<EdgeOp> {
         .collect()
 }
 
-/// Asserts the maintained state equals a fresh build on `m`, field by
-/// field, and that both read paths are bit-identical to full
-/// recomputes.
-fn assert_state_matches(state: &AnalyticsState, m: &CsrGraph, scratch: &mut Scratch) {
-    // Per-edge supports.
+/// Asserts that a `SupportBelow` observation on the stream `g` reads
+/// each edge's recomputed support on `m`, its materialisation, for
+/// every `stride`-th edge (both endpoint orders), and `None` for every
+/// `stride`-th absent pair.
+fn assert_support_observations(
+    state: &AnalyticsState,
+    g: &DynamicGraph,
+    m: &CsrGraph,
+    stride: usize,
+    scratch: &mut Scratch,
+) {
+    let observe = |u, v| Predicate::SupportBelow { u, v, k: 1 }.observe(state, g);
     let fresh = supports_in_edge_order_with(m, scratch);
-    assert_eq!(state.edge_count(), fresh.len(), "edge count diverged");
-    for ((u, v), support) in m.edges().zip(fresh) {
+    for ((u, v), support) in m.edges().zip(fresh).step_by(stride) {
         assert_eq!(
-            state.support(u, v),
-            Some(support),
+            observe(u, v),
+            Observed::Support(Some(support)),
             "support of ({u}, {v}) diverged"
         );
+        assert_eq!(observe(v, u), Observed::Support(Some(support)));
     }
+    let n = m.num_vertices() as u32;
+    let absent = (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v)));
+    for (u, v) in absent.filter(|&(u, v)| !m.has_edge(u, v)).step_by(stride) {
+        assert_eq!(
+            observe(u, v),
+            Observed::Support(None),
+            "({u}, {v}) is absent"
+        );
+    }
+}
+
+/// Asserts the maintained state equals a fresh build on `m`, field by
+/// field, and that the clustering read paths are bit-identical to full
+/// recomputes.
+fn assert_state_matches(state: &AnalyticsState, m: &CsrGraph, scratch: &mut Scratch) {
     // Per-vertex local counts.
     let fresh_local = triangles_per_vertex_with(m, scratch);
     assert_eq!(state.local_counts(), fresh_local.as_slice());
     assert_eq!(state.triangles(), fresh_local.iter().sum::<u64>() / 3);
-
-    // k-truss from maintained supports == full decomposition.
-    let peel = ktruss_from_supports(m, state.supports_in_edge_order(m));
-    let full = ktruss_decomposition_with(m, scratch);
-    assert_eq!(peel, full, "ktruss read path diverged");
+    assert_eq!(state.num_vertices(), m.num_vertices());
 
     // Clustering from maintained counts == full recompute, bit for bit.
     let coeffs = coefficients_from_counts(m, state.local_counts());
@@ -117,6 +134,7 @@ proptest! {
             );
             let m = g.materialize();
             assert_state_matches(&state, &m, &mut scratch);
+            assert_support_observations(&state, &g, &m, 1, &mut scratch);
         }
     }
 
@@ -136,6 +154,7 @@ proptest! {
         }
         let m = g.materialize();
         assert_state_matches(&state, &m, &mut scratch);
+        assert_support_observations(&state, &g, &m, 7, &mut scratch);
     }
 }
 
@@ -171,11 +190,10 @@ fn compaction_schedules_do_not_affect_analytics() {
     assert!(eager.counters().compactions > 0);
     let m = lazy.materialize();
     assert_eq!(m, eager.materialize());
-    assert_eq!(
-        state_lazy.supports_in_edge_order(&m),
-        state_eager.supports_in_edge_order(&m)
-    );
     assert_eq!(state_lazy.local_counts(), state_eager.local_counts());
+    assert_eq!(state_lazy.triangles(), state_eager.triangles());
+    assert_support_observations(&state_lazy, &lazy, &m, 3, &mut scratch);
+    assert_support_observations(&state_eager, &eager, &m, 3, &mut scratch);
 
     let fresh = AnalyticsState::build(&m, &mut scratch);
     assert_eq!(state_lazy.triangles(), fresh.triangles());

@@ -5,17 +5,19 @@
 //! from the same `tc-apps` functions the server calls, so a bug in the
 //! counting pass would agree with itself there. This suite recomputes
 //! both quantities the slow, obvious way — one merge of the two full
-//! neighbour lists per edge — and compares them with `tc-apps` and with
-//! a cold `AnalyticsState::build` on empty, isolated-vertex, star, K₈,
+//! neighbour lists per edge — and compares them with `tc-apps`, with a
+//! cold `AnalyticsState::build`, and with `SupportBelow` observations of
+//! a stream over the graph, on empty, isolated-vertex, star, K₈,
 //! Erdős–Rényi, power-law and R-MAT graphs.
 
 use proptest::prelude::*;
 use tc_algos::cpu;
 use tc_algos::engine::Scratch;
-use tc_analytics::AnalyticsState;
+use tc_analytics::{AnalyticsState, Observed, Predicate};
 use tc_apps::{supports_in_edge_order_with, triangles_per_vertex, triangles_per_vertex_with};
 use tc_graph::generators::{erdos_renyi, power_law_configuration, rmat, RmatParams};
 use tc_graph::{CsrGraph, GraphBuilder, VertexId};
+use tc_stream::DynamicGraph;
 
 /// The common neighbours of `u` and `v`, by a two-pointer merge of
 /// their full sorted lists.
@@ -92,17 +94,36 @@ fn check(g: &CsrGraph, warm: &mut Scratch) {
     let triangles = cpu::node_iterator(g);
     assert_eq!(per_vertex.iter().sum::<u64>(), 3 * triangles);
 
+    let stream = DynamicGraph::new(g.clone());
+    assert_eq!(stream.num_edges(), g.num_edges());
     for scratch in [&mut Scratch::new(), warm] {
         let state = AnalyticsState::build(g, scratch);
-        assert_eq!(state.edge_count(), g.num_edges());
         assert_eq!(state.num_vertices(), g.num_vertices());
         assert_eq!(state.triangles(), triangles);
         assert_eq!(state.local_counts(), per_vertex.as_slice());
-        for (u, v, s) in &expect {
-            assert_eq!(state.support(*u, *v), Some(*s), "support of ({u}, {v})");
-            assert_eq!(state.support(*v, *u), Some(*s), "support of ({v}, {u})");
+        let observe = |u, v| Predicate::SupportBelow { u, v, k: 1 }.observe(&state, &stream);
+        for &(u, v, s) in &expect {
+            assert_eq!(
+                observe(u, v),
+                Observed::Support(Some(s)),
+                "support of ({u}, {v})"
+            );
+            assert_eq!(
+                observe(v, u),
+                Observed::Support(Some(s)),
+                "support of ({v}, {u})"
+            );
         }
-        assert_eq!(state.supports_in_edge_order(g), supports);
+        // Absent pairs, sampled: the first absent partner of each vertex.
+        for u in g.vertices() {
+            if let Some(v) = (u + 1..g.num_vertices() as VertexId).find(|&v| !g.has_edge(u, v)) {
+                assert_eq!(
+                    observe(u, v),
+                    Observed::Support(None),
+                    "({u}, {v}) is absent"
+                );
+            }
+        }
     }
 }
 

@@ -33,8 +33,8 @@ use tc_stream::{DynamicGraph, EdgeOp};
 const REPS: usize = 6;
 
 /// Batches timed per dataset in the analytics read-latency pass. Each
-/// rep pays two full recomputes (supports + per-vertex counts), so this
-/// stays smaller than [`REPS`].
+/// rep pays three full recomputes (two k-truss decompositions and a
+/// per-vertex count), so this stays smaller than [`REPS`].
 const ANALYTICS_REPS: usize = 3;
 
 /// One (dataset, batch size) measurement.
@@ -73,11 +73,13 @@ pub struct StreamBenchReport {
 }
 
 /// One dataset's analytics read-latency measurement at 1%-of-`|E|`
-/// batches: after every applied batch, `ktruss` and `clustering` are
-/// answered twice — from the incrementally maintained
-/// [`AnalyticsState`] (supports / per-vertex counts already known) and
-/// by a full recompute on the same materialised graph — with the
-/// results bit-compared.
+/// batches. After every applied batch, `clustering` is answered twice,
+/// from the incrementally maintained [`AnalyticsState`] (per-vertex
+/// counts already known) and by a full recompute on the same
+/// materialised graph. `ktruss` is answered as a server answers it on a
+/// stream, by decomposing the materialised graph, and again untimed on
+/// a CSR rebuilt from the bench's own edge list. Both pairs are
+/// bit-compared.
 #[derive(Clone, Copy, Debug)]
 pub struct AnalyticsReadRow {
     /// Operations per batch (1% of the starting `|E|`).
@@ -87,10 +89,8 @@ pub struct AnalyticsReadRow {
     /// Mean time to maintain the analytics state per batch (µs):
     /// recorded apply + change replay.
     pub maintain_mean_us: f64,
-    /// Mean k-truss read from maintained supports (µs): edge-order
-    /// layout + peel, no intersection pass.
-    pub ktruss_inc_mean_us: f64,
-    /// Mean full k-truss recompute (µs): support pass + peel.
+    /// Mean k-truss decomposition of the materialised graph (µs):
+    /// support pass + peel.
     pub ktruss_full_mean_us: f64,
     /// Mean global-clustering read from maintained counts (µs).
     pub clustering_inc_mean_us: f64,
@@ -100,11 +100,6 @@ pub struct AnalyticsReadRow {
 }
 
 impl AnalyticsReadRow {
-    /// Full-recompute / incremental k-truss read-latency ratio.
-    pub fn ktruss_speedup(&self) -> f64 {
-        measure::ratio(self.ktruss_full_mean_us, self.ktruss_inc_mean_us)
-    }
-
     /// Full-recompute / incremental clustering read-latency ratio.
     pub fn clustering_speedup(&self) -> f64 {
         measure::ratio(self.clustering_full_mean_us, self.clustering_inc_mean_us)
@@ -251,8 +246,7 @@ fn run_analytics_dataset(dataset: Dataset) -> AnalyticsReadReport {
     // the per-batch read loop.
     let mut st = AnalyticsState::build(&base, &mut scratch);
 
-    let [mut maintain, mut kt_inc, mut kt_full, mut cc_inc, mut cc_full]: [Samples; 5] =
-        Default::default();
+    let [mut maintain, mut kt_full, mut cc_inc, mut cc_full]: [Samples; 4] = Default::default();
     for _ in 0..ANALYTICS_REPS {
         let ops = draw_batch(&mut rng, n, &mut edges, &mut present, batch_size);
         // The change records are dropped outside the timed region.
@@ -262,19 +256,19 @@ fn run_analytics_dataset(dataset: Dataset) -> AnalyticsReadReport {
             changes
         });
 
-        // Both read paths answer on the same materialised graph; the
-        // materialisation itself is shared, untimed substrate.
+        // Every timed read answers on the same materialised graph; the
+        // materialisation itself is shared, untimed substrate, and so is
+        // the CSR rebuilt from the shadow edge list.
         let m = g.materialize();
-        let truss =
-            kt_inc.time(|| tc_apps::ktruss_from_supports(&m, st.supports_in_edge_order(&m)));
+        let truss = kt_full.time(|| tc_apps::ktruss_decomposition_with(&m, &mut scratch));
         let clustering = cc_inc.time(|| tc_apps::global_from_counts(&m, st.local_counts()));
-        let truss_full = kt_full.time(|| tc_apps::ktruss_decomposition_with(&m, &mut scratch));
         let clustering_full =
             cc_full.time(|| tc_apps::global_clustering_coefficient_with(&m, &mut scratch));
+        let rebuilt = GraphBuilder::from_edges(n as usize, &edges).build();
         assert_eq!(
             truss,
-            truss_full,
-            "incremental and recomputed k-truss diverged on {}",
+            tc_apps::ktruss_decomposition_with(&rebuilt, &mut scratch),
+            "streamed and recomputed k-truss diverged on {}",
             dataset.name()
         );
         assert_eq!(
@@ -292,7 +286,6 @@ fn run_analytics_dataset(dataset: Dataset) -> AnalyticsReadReport {
             batch_size,
             batches: ANALYTICS_REPS,
             maintain_mean_us: maintain.mean_us(),
-            ktruss_inc_mean_us: kt_inc.mean_us(),
             ktruss_full_mean_us: kt_full.mean_us(),
             clustering_inc_mean_us: cc_inc.mean_us(),
             clustering_full_mean_us: cc_full.mean_us(),
@@ -343,9 +336,7 @@ pub fn render_analytics(reports: &[AnalyticsReadReport]) -> String {
         "|E|",
         "batch",
         "maintain µs",
-        "ktruss inc µs",
         "ktruss full µs",
-        "ktruss speedup",
         "clustering inc µs",
         "clustering full µs",
         "clustering speedup",
@@ -357,9 +348,7 @@ pub fn render_analytics(reports: &[AnalyticsReadReport]) -> String {
             report.edges.to_string(),
             row.batch_size.to_string(),
             format!("{:.1}", row.maintain_mean_us),
-            format!("{:.1}", row.ktruss_inc_mean_us),
             format!("{:.1}", row.ktruss_full_mean_us),
-            format!("{:.1}x", row.ktruss_speedup()),
             format!("{:.1}", row.clustering_inc_mean_us),
             format!("{:.1}", row.clustering_full_mean_us),
             format!("{:.1}x", row.clustering_speedup()),
@@ -400,9 +389,7 @@ pub fn to_json(reports: &[StreamBenchReport], analytics: &[AnalyticsReadReport])
             ("batch_size", u(row.batch_size as u64)),
             ("batches", u(row.batches as u64)),
             ("maintain_mean_us", Json::Float(row.maintain_mean_us)),
-            ("ktruss_inc_mean_us", Json::Float(row.ktruss_inc_mean_us)),
             ("ktruss_full_mean_us", Json::Float(row.ktruss_full_mean_us)),
-            ("ktruss_speedup", Json::Float(row.ktruss_speedup())),
             (
                 "clustering_inc_mean_us",
                 Json::Float(row.clustering_inc_mean_us),
@@ -441,12 +428,10 @@ mod tests {
             batch_size: 779,
             batches: ANALYTICS_REPS,
             maintain_mean_us: 100.0,
-            ktruss_inc_mean_us: 50.0,
             ktruss_full_mean_us: 200.0,
             clustering_inc_mean_us: 2.0,
             clustering_full_mean_us: 80.0,
         };
-        assert_eq!(analytics.ktruss_speedup(), 4.0);
         assert_eq!(analytics.clustering_speedup(), 40.0);
     }
 

@@ -109,7 +109,7 @@ BENCH_cpu.json datasets rows: ordering kernel mean_us speedup_vs_merge
 BENCH_stream.json datasets: dataset edges triangles_start triangles_end rows
 BENCH_stream.json datasets rows: batch_size batches inc_mean_us full_mean_us speedup
 BENCH_stream.json analytics: dataset edges batch_size batches maintain_mean_us
-BENCH_stream.json analytics: ktruss_inc_mean_us ktruss_full_mean_us ktruss_speedup
+BENCH_stream.json analytics: ktruss_full_mean_us
 BENCH_stream.json analytics: clustering_inc_mean_us clustering_full_mean_us clustering_speedup
 BENCH_service.json datasets: dataset clients workers recovered_entries
 BENCH_service.json datasets: warm_over_cold restart_over_cold

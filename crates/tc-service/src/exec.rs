@@ -410,22 +410,15 @@ impl Engine {
                 Ok(payload)
             }
             Request::Ktruss(dataset) => {
-                // Streamed datasets read from the maintained analytics
-                // state: the support pass is already incremental,
-                // leaving only the deterministic peel, which walks the
-                // materialised CSR. The differential suite pins this
-                // bit-identical to the full decomposition below.
-                let trussness = match shard.registry.view(*dataset) {
-                    DatasetView::Streamed(view) => {
-                        let g = view.graph();
-                        let supports = view.analytics().supports_in_edge_order(&g);
-                        drop(view);
-                        tc_apps::ktruss_from_supports(&g, supports)
-                    }
-                    DatasetView::Static(g) => with_scratch_for(g.num_vertices(), |scratch| {
-                        tc_apps::ktruss_decomposition_with(&g, scratch)
-                    }),
+                // A streamed dataset decomposes its materialised CSR, and
+                // the hold ends before the support pass and the peel.
+                let g = match shard.registry.view(*dataset) {
+                    DatasetView::Streamed(view) => view.graph(),
+                    DatasetView::Static(g) => g,
                 };
+                let trussness = with_scratch_for(g.num_vertices(), |scratch| {
+                    tc_apps::ktruss_decomposition_with(&g, scratch)
+                });
                 // Deterministic summary: edges per truss level, ascending.
                 let mut levels: BTreeMap<u32, u64> = BTreeMap::new();
                 for &k in trussness.values() {

@@ -36,10 +36,11 @@
 //!   op against its owning [`exec::Shard`] (registry slice, metrics,
 //!   subscriptions) and fans engine-wide admin ops (`stats` rollup,
 //!   bare `evict`, …) out across every shard. For streamed datasets,
-//!   `count` reads the stream's maintained count, and `ktruss` and
-//!   `clustering` read from the incrementally maintained `tc-analytics`
-//!   state (bit-identical to a full recompute, at a fraction of the
-//!   cost).
+//!   `count` reads the stream's maintained count, and `clustering` folds
+//!   the per-vertex counts the `tc-analytics` state maintains
+//!   (bit-identical to a full recompute, at a fraction of the cost);
+//!   `ktruss` decomposes the materialised graph, as on a static
+//!   dataset.
 //! - [`subs`] — live push subscriptions: predicates from `tc-analytics`
 //!   bound to connections, evaluated exactly around every applied
 //!   batch, delivered as `{"push":...}` frames on the subscriber's

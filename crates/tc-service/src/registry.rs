@@ -14,8 +14,8 @@
 //! analytics in place ([`GraphRegistry::view`]). Only what needs a CSR
 //! rebuilds one from the stream, once per write
 //! ([`RegistryStats::materializations`]): a variant for `simulate` or
-//! `load`, the `ktruss` peel, and an analytics build on a dataset
-//! written before its first analytics read.
+//! `load`, `ktruss`, and an analytics build on a dataset written before
+//! its first analytics read.
 //!
 //! A slot sits behind an `RwLock`: a query holds it shared while it reads
 //! the dataset, an `update` or `subscribe` holds it exclusively. The
@@ -185,7 +185,7 @@ pub struct StreamInfo {
 pub struct AnalyticsInfo {
     /// The streamed dataset.
     pub dataset: Dataset,
-    /// Edges with maintained support.
+    /// Edges of the stream the state follows.
     pub tracked_edges: usize,
     /// Exact triangle count per the maintained state.
     pub triangles: u64,
@@ -253,9 +253,9 @@ struct DatasetState {
     /// Batches applied since the last stream snapshot was enqueued;
     /// drives the auto-snapshot cadence.
     batches_since_snapshot: u64,
-    /// Maintained per-edge support and per-vertex local counts, built on
-    /// the first analytics read (or subscription) and advanced in place
-    /// by every later batch via the recorded-change path.
+    /// Maintained per-vertex local triangle counts, built on the first
+    /// analytics read (or subscription) and advanced in place by every
+    /// later batch via the recorded-change path.
     analytics: OnceLock<AnalyticsState>,
 }
 
@@ -794,9 +794,10 @@ impl GraphRegistry {
     pub fn analytics_info(&self, dataset: Dataset) -> Option<AnalyticsInfo> {
         let ds = self.read(dataset);
         let a = ds.analytics.get()?;
+        let stream = ds.stream.as_ref().expect("analytics ride a stream");
         Some(AnalyticsInfo {
             dataset,
-            tracked_edges: a.edge_count(),
+            tracked_edges: stream.num_edges(),
             triangles: a.triangles(),
             changes_applied: a.changes_applied(),
             batches_applied: a.batches_applied(),

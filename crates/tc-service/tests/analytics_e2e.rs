@@ -367,11 +367,11 @@ fn simulate_reads_the_materialized_dynamic_graph() {
         "triangles",
     );
     assert_eq!(counted, exact);
-    // `ktruss` on a streamed dataset builds the analytics state; the
-    // stats op then reports the same exact count.
+    // `clustering` on a streamed dataset builds the analytics state;
+    // the stats op then reports the same exact count.
     client
-        .request_ok(r#"{"op":"ktruss","dataset":"email-Eucore"}"#)
-        .expect("ktruss");
+        .request_ok(r#"{"op":"clustering","dataset":"email-Eucore"}"#)
+        .expect("clustering");
     let stats = client
         .request_ok(r#"{"op":"analytics-stats","dataset":"email-Eucore"}"#)
         .expect("analytics-stats");
