@@ -102,16 +102,6 @@ impl CsrGraph {
         self.neighbors.len() as f64 / self.num_vertices() as f64
     }
 
-    /// The directed average out-degree `|E| / |V|` (the paper's
-    /// `d̃_avg`): after orientation every undirected edge contributes one
-    /// out-edge, so the average out-degree is independent of the scheme.
-    pub fn directed_average_degree(&self) -> f64 {
-        if self.num_vertices() == 0 {
-            return 0.0;
-        }
-        self.num_edges() as f64 / self.num_vertices() as f64
-    }
-
     /// Approximate resident size of the CSR arrays in bytes. Used by
     /// cache byte-budget accounting (e.g. the `tc-service` registry);
     /// intentionally ignores allocator slack and the struct header.
@@ -212,7 +202,6 @@ mod tests {
     fn average_degrees() {
         let g = triangle();
         assert_eq!(g.average_degree(), 2.0);
-        assert_eq!(g.directed_average_degree(), 1.0);
     }
 
     #[test]

@@ -26,7 +26,6 @@
 pub mod adjacency;
 pub mod binary_io;
 pub mod builder;
-pub mod components;
 pub mod csr;
 pub mod directed;
 pub mod generators;

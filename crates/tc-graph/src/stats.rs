@@ -61,69 +61,6 @@ pub fn degree_stats(g: &CsrGraph) -> DegreeStats {
     }
 }
 
-/// Degree histogram: `hist[d]` = number of vertices of degree `d`.
-pub fn degree_histogram(g: &CsrGraph) -> Vec<usize> {
-    let max = g.vertices().map(|u| g.degree(u)).max().unwrap_or(0);
-    let mut hist = vec![0usize; max + 1];
-    for u in g.vertices() {
-        hist[g.degree(u)] += 1;
-    }
-    hist
-}
-
-/// Degree assortativity (Pearson correlation of endpoint degrees over
-/// edges). Positive: high-degree vertices attach to each other (social
-/// networks); negative: hubs attach to leaves (technological networks).
-/// Returns `None` when the correlation is undefined (fewer than two edges
-/// or zero variance).
-pub fn degree_assortativity(g: &CsrGraph) -> Option<f64> {
-    let m = g.num_edges();
-    if m < 2 {
-        return None;
-    }
-    // Work over both orientations of each edge (the standard estimator).
-    let mut sum_x = 0f64;
-    let mut sum_xx = 0f64;
-    let mut sum_xy = 0f64;
-    let n = (2 * m) as f64;
-    for u in g.vertices() {
-        let du = g.degree(u) as f64;
-        for &v in g.neighbors(u) {
-            let dv = g.degree(v) as f64;
-            sum_x += du;
-            sum_xx += du * du;
-            sum_xy += du * dv;
-        }
-    }
-    let mean = sum_x / n;
-    let var = sum_xx / n - mean * mean;
-    if var <= 0.0 {
-        return None;
-    }
-    let cov = sum_xy / n - mean * mean;
-    Some(cov / var)
-}
-
-/// Maximum-likelihood estimate of the power-law exponent `γ` for the tail
-/// `d ≥ d_min` (Clauset–Shalizi–Newman continuous approximation). Returns
-/// `None` if fewer than two vertices qualify.
-pub fn power_law_exponent_mle(g: &CsrGraph, d_min: usize) -> Option<f64> {
-    let d_min = d_min.max(1);
-    let mut count = 0usize;
-    let mut log_sum = 0f64;
-    for u in g.vertices() {
-        let d = g.degree(u);
-        if d >= d_min {
-            count += 1;
-            log_sum += (d as f64 / d_min as f64).ln();
-        }
-    }
-    if count < 2 || log_sum <= 0.0 {
-        return None;
-    }
-    Some(1.0 + count as f64 / log_sum)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -142,13 +79,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_sums_to_vertex_count() {
-        let g = power_law_configuration(500, 2.3, 6.0, 8);
-        let hist = degree_histogram(&g);
-        assert_eq!(hist.iter().sum::<usize>(), g.num_vertices());
-    }
-
-    #[test]
     fn power_law_graph_has_high_cv_road_low() {
         let pl = degree_stats(&power_law_configuration(3000, 2.2, 8.0, 1));
         let road = degree_stats(&road_lattice(55, 55, 0.05, 0.05, 1));
@@ -158,35 +88,6 @@ mod tests {
             pl.cv,
             road.cv
         );
-    }
-
-    #[test]
-    fn mle_recovers_rough_exponent() {
-        let g = power_law_configuration(20000, 2.5, 6.0, 2);
-        let gamma = power_law_exponent_mle(&g, 5).expect("enough tail");
-        assert!(
-            (1.6..=3.4).contains(&gamma),
-            "estimated gamma {gamma} implausible"
-        );
-    }
-
-    #[test]
-    fn assortativity_signs_match_structure() {
-        // Star: hub pairs exclusively with leaves → strongly negative.
-        let star = GraphBuilder::from_edges(6, &[(0, 1), (0, 2), (0, 3), (0, 4), (0, 5)]).build();
-        let a = degree_assortativity(&star).expect("defined");
-        assert!((a - -1.0).abs() < 1e-9, "star assortativity {a}");
-
-        // Regular ring: all degrees equal → undefined (zero variance).
-        let ring = GraphBuilder::from_edges(4, &[(0, 1), (1, 2), (2, 3), (3, 0)]).build();
-        assert_eq!(degree_assortativity(&ring), None);
-    }
-
-    #[test]
-    fn assortativity_in_valid_range() {
-        let g = power_law_configuration(2000, 2.2, 8.0, 3);
-        let a = degree_assortativity(&g).expect("defined");
-        assert!((-1.0..=1.0).contains(&a), "assortativity {a}");
     }
 
     #[test]

@@ -90,18 +90,6 @@ proptest! {
         let h = tc_graph::binary_io::graph_from_bytes(&bytes).expect("read");
         prop_assert_eq!(g, h);
     }
-
-    /// Component sizes partition the vertex set, and each component is
-    /// internally reachable.
-    #[test]
-    fn components_partition_the_graph(seed in 0u64..500) {
-        let g = erdos_renyi(80, 90, seed); // sparse → multiple components
-        let c = tc_graph::components::connected_components(&g);
-        prop_assert_eq!(c.sizes.iter().sum::<usize>(), g.num_vertices());
-        for (u, v) in g.edges() {
-            prop_assert_eq!(c.label[u as usize], c.label[v as usize]);
-        }
-    }
 }
 
 /// Deterministic pseudo-random permutation (Fisher–Yates on a seeded LCG;
