@@ -32,8 +32,8 @@
 //! Batches can also be applied *recorded*
 //! ([`DynamicGraph::apply_batch_recorded`]), yielding one [`EdgeChange`]
 //! per committed change with the wedge set it closed or opened — the
-//! change hook `tc-analytics` rides to maintain per-edge support and
-//! per-vertex local triangle counts incrementally.
+//! change hook `tc-analytics` rides to maintain per-vertex local
+//! triangle counts incrementally.
 //!
 //! ```
 //! use tc_stream::{DynamicGraph, EdgeOp};

@@ -1,6 +1,6 @@
 //! Analytics demo + smoke test: live push subscriptions on a streamed
-//! dataset, plus the incrementally-served `ktruss`/`clustering` read
-//! paths.
+//! dataset, plus the `ktruss` and incrementally-served `clustering`
+//! reads.
 //!
 //! ```text
 //! cargo run --release --example analytics_demo
@@ -97,8 +97,9 @@ fn main() {
         u64_of(&push, "after"),
     );
 
-    // Reads are now served from the maintained analytics state —
-    // bit-identical to a recompute, without the intersection pass.
+    // `clustering` folds the maintained per-vertex counts, bit-identical
+    // to a recompute without its counting pass; `ktruss` decomposes the
+    // materialised graph.
     let kt = client
         .request_ok(r#"{"op":"ktruss","dataset":"email-Eucore"}"#)
         .expect("ktruss");
@@ -106,7 +107,7 @@ fn main() {
         .request_ok(r#"{"op":"clustering","dataset":"email-Eucore"}"#)
         .expect("clustering");
     println!(
-        "incremental reads: max truss = {}, global clustering = {}",
+        "reads: max truss = {}, global clustering = {}",
         u64_of(&kt, "max_truss"),
         cc.get("global_coefficient")
             .and_then(Json::as_f64)
